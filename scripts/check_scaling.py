@@ -18,8 +18,12 @@ used in its "threads" field) and enforces, for the gated families
      path must be no slower than `sequential_s` (within the same
      tolerance).  Families whose parallel machinery needs more workers
      than t route sequentially via their min-worker floor, so "no
-     slower" is exactly what adaptive routing promises; families that
-     do go parallel (glws at >= 4 workers) must genuinely win.
+     slower" is exactly what adaptive routing promises; a family that
+     does go parallel at t must genuinely win.  All three gated
+     families have a floor of 8 (src/core/cutoff.hpp), so on a 4-core
+     runner every gated point routes sequentially and gate 3 checks
+     that the routing costs nothing; each point's printed path shows
+     which algorithm ran.
 
 When the runner has fewer cores than --min-threads, gate 3 is SKIPPED
 with a loud warning (oversubscribed "4 threads" on 1 core measures the

@@ -12,9 +12,10 @@ Rules
                         explicit `// lint: oracle=<name>` pointing at the
                         scalar oracle it is tested against — and is
                         exercised by tests/test_kernels.cpp.
-  R3 atomic-order       every std::atomic access in src/parallel/ spells
-                        its memory_order explicitly and carries an
-                        adjacent `// order:` comment justifying it.
+  R3 atomic-order       every std::atomic (or std::atomic_ref) access in
+                        src/parallel/ and src/core/dp_stats.hpp spells its
+                        memory_order explicitly and carries an adjacent
+                        `// order:` comment justifying it.
   R4 telemetry-coverage every Counter/Gauge/Histogram symbol declared in
                         src/core/telemetry.hpp is used somewhere outside
                         that header, and every exported metric name is
@@ -44,6 +45,7 @@ import sys
 SOLVER_DIRS = ["src/lis", "src/lcs", "src/glws", "src/kglws", "src/gap",
                "src/oat", "src/obst", "src/treeglws"]
 PARALLEL_DIR = "src/parallel"
+DP_STATS_HPP = "src/core/dp_stats.hpp"  # per-worker work-counter shards
 KERNELS_HPP = "src/core/kernels.hpp"
 TELEMETRY_HPP = "src/core/telemetry.hpp"
 KERNEL_TESTS = "tests/test_kernels.cpp"
@@ -317,8 +319,10 @@ def lint_tree(root: pathlib.Path) -> list[Violation]:
     if kernels.is_file():
         out.extend(check_r2(KERNELS_HPP, kernels.read_text(),
                             tests.read_text() if tests.is_file() else ""))
-    for f in source_files(root, [PARALLEL_DIR]):
-        out.extend(check_r3(str(f.relative_to(root)), f.read_text()))
+    r3_files = source_files(root, [PARALLEL_DIR]) + [root / DP_STATS_HPP]
+    for f in r3_files:
+        if f.is_file():
+            out.extend(check_r3(str(f.relative_to(root)), f.read_text()))
     telemetry = root / TELEMETRY_HPP
     if telemetry.is_file():
         usage = []

@@ -11,9 +11,10 @@
 //    structures.
 //
 // 2. `ExplicitCordon` — a literal, unoptimized execution of Steps 1-5 of
-//    Sec. 2.3 over an explicit DpDag.  O(rounds * E) work; used as the
-//    reference semantics in tests (Thm 2.1 correctness) and to measure
-//    frontier structure on small instances.  Never used in benchmarks.
+//    Sec. 2.3 over an explicit DpDag.  O(rounds * E) work.  Its
+//    run_affine() body is the production solver of the engine's `dag`
+//    family (src/engine/dag_solver.cpp); run_generic() is the reference
+//    semantics in tests (Thm 2.1 correctness) for arbitrary transitions.
 #pragma once
 
 #include <concepts>
@@ -78,6 +79,11 @@ class ExplicitCordon {
     std::vector<double> values;
     std::vector<std::uint32_t> round_of;  // round in which each state finalized
     std::uint64_t rounds = 0;
+    // In-edges evaluated: every in-edge of each unfinalized state, once
+    // in the sentinel pass (Step 2) and once in the relax pass (Step 3)
+    // of every round it stays unfinalized.  Both bodies count the same
+    // edges, so the number is a property of the DAG, not of the body.
+    std::uint64_t relaxations = 0;
   };
 
   [[nodiscard]] Result run() const {
@@ -157,6 +163,7 @@ class ExplicitCordon {
       ++res.rounds;
       telemetry::TraceSpan round_span("dag.round", "solver");
       telemetry::count(telemetry::Counter::kSolverRounds);
+      std::uint64_t evaluated = 0;  // in-edges gathered this round
       // Step 2: sentinel iff some tentative source successfully relaxes
       // i; blocked = descendants (inclusive) of sentinel states — one
       // pass in state order suffices because src < dst on every edge.
@@ -165,6 +172,7 @@ class ExplicitCordon {
           blocked[i] = 0;
           continue;
         }
+        evaluated += in_count(i);
         bool sentinel = better(tentative_best(i), d[i]);
         blocked[i] =
             sentinel ||
@@ -182,9 +190,11 @@ class ExplicitCordon {
       }
       for (std::uint32_t i = 0; i < n; ++i) {
         if (finalized[i] != 0) continue;
+        evaluated += in_count(i);
         double cand = finalized_best(i);
         if (better(cand, d[i])) d[i] = cand;
       }
+      res.relaxations += evaluated;
       remaining -= frontier.size();
       if (frontier.empty()) throw_stuck(res.rounds, remaining, finalized);
     }
@@ -229,8 +239,10 @@ class ExplicitCordon {
       // Blocked = descendants (inclusive) of sentinel states; a single
       // pass in state order suffices because src < dst for every edge.
       std::vector<bool> blocked(n, false);
+      std::uint64_t evaluated = 0;  // in-edges visited this round
       for (std::uint32_t i = 0; i < n; ++i) {
         if (finalized[i]) continue;
+        evaluated += in[i].size();
         for (const DpDag::Edge* e : in[i]) {
           if (!finalized[e->src] && better(e->f(d[e->src]), d[i]))
             sentinel[i] = true;
@@ -248,12 +260,14 @@ class ExplicitCordon {
       }
       for (std::uint32_t i = 0; i < n; ++i) {
         if (finalized[i]) continue;
+        evaluated += in[i].size();
         for (const DpDag::Edge* e : in[i]) {
           if (!finalized[e->src]) continue;
           double cand = e->f(d[e->src]);
           if (better(cand, d[i])) d[i] = cand;
         }
       }
+      res.relaxations += evaluated;
       remaining -= frontier.size();
       if (frontier.empty()) throw_stuck(res.rounds, remaining, finalized);
     }

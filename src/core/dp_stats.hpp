@@ -14,6 +14,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <ostream>
+#include <span>
+
+#include "src/core/arena.hpp"
+#include "src/parallel/scheduler.hpp"
 
 namespace cordon::core {
 
@@ -227,24 +231,76 @@ inline std::ostream& operator<<(std::ostream& os, const QueueStats& s) {
 
 /// Thread-safe accumulator used inside parallel loops; convert to DpStats
 /// at the end of a run.
-struct AtomicDpStats {
-  std::atomic<std::uint64_t> states{0};
-  std::atomic<std::uint64_t> relaxations{0};
-  std::atomic<std::uint64_t> rounds{0};
+///
+/// Storage: one shard per scheduler worker slot, each on its own 128
+/// bytes (a cache line plus the neighbour the adjacent-line prefetcher
+/// pulls in, as for the arena and telemetry slots), carved from the
+/// constructing thread's scratch arena, so a warm worker allocates
+/// nothing per solve.
+///
+/// An add touches only the calling worker's shard, and each shard has
+/// one writer: the threads that run a solve's forks are live workers
+/// with distinct worker_id()s, and a thread that is not a live worker
+/// (id 0, or a stale id after a pool restart) runs its forks inline, so
+/// nothing else writes its stats object while it does.  An add is
+/// therefore a relaxed load plus a relaxed store on a line no other
+/// thread writes, with no locked read-modify-write.  `snapshot()` sums
+/// the shards; it is exact once the forks that added have joined (round
+/// boundaries, end of run) and a never-torn lower bound while they run.
+///
+/// Lifetime: a LIFO arena epoch like any other per-solve scratch, so an
+/// AtomicDpStats lives on the stack of the thread that built it.
+class AtomicDpStats {
+ public:
+  AtomicDpStats()
+      : scope_(worker_arena()),
+        shards_(scope_.arena().make_span<Shard>(parallel::worker_slots(),
+                                                Shard{})) {}
+  AtomicDpStats(const AtomicDpStats&) = delete;
+  AtomicDpStats& operator=(const AtomicDpStats&) = delete;
 
-  void add_states(std::uint64_t n) noexcept {
-    states.fetch_add(n, std::memory_order_relaxed);
-  }
+  void add_states(std::uint64_t n) noexcept { bump(mine().states, n); }
   void add_relaxations(std::uint64_t n) noexcept {
-    relaxations.fetch_add(n, std::memory_order_relaxed);
+    bump(mine().relaxations, n);
   }
-  void add_round() noexcept { rounds.fetch_add(1, std::memory_order_relaxed); }
+  void add_round() noexcept { bump(mine().rounds, 1); }
 
   [[nodiscard]] DpStats snapshot() const noexcept {
-    return {states.load(std::memory_order_relaxed),
-            relaxations.load(std::memory_order_relaxed),
-            rounds.load(std::memory_order_relaxed)};
+    DpStats out;
+    for (Shard& s : shards_) {
+      out.states += read(s.states);
+      out.relaxations += read(s.relaxations);
+      out.rounds += read(s.rounds);
+    }
+    return out;
   }
+
+ private:
+  struct alignas(128) Shard {
+    std::uint64_t states = 0;
+    std::uint64_t relaxations = 0;
+    std::uint64_t rounds = 0;
+  };
+
+  Shard& mine() const noexcept { return shards_[parallel::worker_id()]; }
+
+  static void bump(std::uint64_t& counter, std::uint64_t n) noexcept {
+    std::atomic_ref<std::uint64_t> c(counter);
+    // order: relaxed — the calling worker is this shard's only writer
+    // (see the class comment), so load-then-store loses no update; the
+    // pool's join is what orders it before snapshot() reads it.
+    c.store(c.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
+  }
+
+  static std::uint64_t read(std::uint64_t& counter) noexcept {
+    // order: relaxed — a count, not a publication: the joins that end a
+    // round or a run order every shard store before this load.
+    return std::atomic_ref<std::uint64_t>(counter).load(
+        std::memory_order_relaxed);
+  }
+
+  ArenaScope scope_;
+  std::span<Shard> shards_;
 };
 
 }  // namespace cordon::core

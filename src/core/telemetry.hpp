@@ -57,7 +57,7 @@ enum class Counter : std::uint16_t {
   kSchedStealAttempts,  // victim deques probed (incl. empty probes)
   kSchedSteals,         // successful steals
   kSchedParks,          // workers committed to sleep on the eventcount
-  kSchedWakes,          // wake notifications issued by work publishers
+  kSchedWakes,          // eventcount signals sent to registered waiters
   kSchedJobsRun,        // jobs executed off a deque (stolen or helped)
   kSchedPushOverflows,  // full-deque pushes degraded to inline execution
   kSchedAdoptions,      // ExternalWorkerScope slots claimed
@@ -128,7 +128,8 @@ inline constexpr std::array<MetricInfo, kNumCounters> kCounterInfo{{
     {"cordon_sched_parks_total",
      "Times a worker committed to sleep on the eventcount"},
     {"cordon_sched_wakes_total",
-     "Wake notifications issued after publishing work"},
+     "Eventcount signals sent to registered waiters after publishing "
+     "work (notifies that found no waiter are not counted)"},
     {"cordon_sched_jobs_total",
      "Jobs executed off a deque (stolen or helped; inline par_do fast "
      "path excluded)"},

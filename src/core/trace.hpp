@@ -355,10 +355,9 @@ inline void init_from_env() {
 /// enough for always-on); records a trace span with the round's
 /// DpStats delta and a round-latency histogram sample only while
 /// tracing is enabled, so the two extra clock reads stay off the
-/// hot path of ~µs rounds.  Works with both core::DpStats and
-/// core::AtomicDpStats via `.snapshot()`-free duck typing: the Stats
-/// type must expose states/relaxations either as members (DpStats) or
-/// via snapshot() (AtomicDpStats) — see the two constructors.
+/// hot path of ~µs rounds.  Works with both core::DpStats (members read
+/// directly) and core::AtomicDpStats (read through snapshot(), a sum
+/// over its per-worker shards; see read()).
 template <typename StatsT>
 class RoundSpan {
  public:
@@ -396,6 +395,10 @@ class RoundSpan {
   RoundSpan& operator=(const RoundSpan&) = delete;
 
  private:
+  // Called only at round boundaries — the span opens before the round
+  // forks and closes after its last join — so the shard sum of an
+  // AtomicDpStats is exact here, and costs one pass over the worker
+  // slots at each end of the round rather than anything per relaxation.
   template <typename S>
   static auto read(const S& s) noexcept
       -> std::pair<std::uint64_t, std::uint64_t> {

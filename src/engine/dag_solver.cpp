@@ -27,8 +27,9 @@ class DagSolver final : public Solver {
     SolveResult out;
     out.objective = r.values.empty() ? 0.0 : r.values.back();
     out.stats.states = p.n;
-    // The literal Steps 1-5 evaluate every live in-edge each round.
-    out.stats.relaxations = r.rounds * dag.num_edges();
+    // In-edges the sentinel and relax passes scanned; finalized states
+    // drop out of both.
+    out.stats.relaxations = r.relaxations;
     out.stats.rounds = r.rounds;
     out.effective_depth = dag.effective_depth();
     out.detail = "dag n=" + std::to_string(p.n) +

@@ -118,12 +118,13 @@ GapResult gap_parallel(const std::vector<std::uint32_t>& a,
   // count decides whether the next round runs inline.
   const std::size_t fuse_threshold = core::fuse_relax_threshold();
   std::uint64_t prev_round_relax = std::numeric_limits<std::uint64_t>::max();
+  // Relaxations as of the last round boundary: one shard sum per round
+  // yields both the fusion input and the next round's baseline.
+  std::uint64_t relax_total = 0;
 
   while (!done()) {
     stats.add_round();
     telemetry::RoundSpan round_span("gap.round", stats);
-    std::uint64_t relax_before =
-        stats.relaxations.load(std::memory_order_relaxed);
     std::optional<parallel::SequentialRegion> fuse_guard;
     if (core::fuse_round(prev_round_relax, fuse_threshold))
       fuse_guard.emplace();
@@ -179,9 +180,9 @@ GapResult gap_parallel(const std::vector<std::uint32_t>& a,
       parallel::parallel_for(0, n + 1, [&](std::size_t i) {
         auto [lo, hi] = span[i];
         if (lo > hi) return;
-        // Body-local counting: one atomic flush per probed window
-        // instead of a locked RMW per cost evaluation (the probe loop
-        // is the bulk of all relaxations).
+        // Body-local counting: one shard flush per probed window instead
+        // of one per cost evaluation (the probe loop is the bulk of all
+        // relaxations).
         std::uint64_t local_relax = 0;
         auto reval = [&](std::size_t jp, std::size_t j) {
           ++local_relax;
@@ -320,8 +321,9 @@ GapResult gap_parallel(const std::vector<std::uint32_t>& a,
     });
 
     std::swap(front, new_front);  // new_front is fully rewritten next round
-    prev_round_relax =
-        stats.relaxations.load(std::memory_order_relaxed) - relax_before;
+    const std::uint64_t relax_after = stats.snapshot().relaxations;
+    prev_round_relax = relax_after - relax_total;
+    relax_total = relax_after;
   }
 
   res.d = std::move(g.d);

@@ -39,9 +39,8 @@ constexpr std::size_t kNone = BestDecisionList::kNone;
 // sentinel after `now`.  Returns cordon in (now+1, n+1].
 //
 // The probe body counts relaxations in a body-local integer and flushes
-// once per state: the shared AtomicDpStats costs a locked RMW per
-// add, which at one increment per cost evaluation was a measurable
-// fraction of the whole round.
+// once per state, so the binary search's evaluations cost a register
+// increment each and the stats shard is touched twice per state.
 std::size_t find_cordon(std::size_t n, std::size_t now,
                         const BestDecisionList& b, bool convex,
                         const CostFn& w, std::vector<double>& d,
@@ -125,6 +124,10 @@ GlwsResult glws_parallel(std::size_t n, double d0, const CostFn& w,
   const std::size_t fuse_threshold = core::fuse_relax_threshold();
   std::uint64_t prev_round_relax = std::numeric_limits<std::uint64_t>::max();
 
+  // Relaxations as of the last round boundary: one shard sum per round
+  // yields both the fusion input and the next round's baseline.
+  std::uint64_t relax_total = 0;
+
   std::size_t now = 0;
   auto round = [&] {
     std::size_t cordon =
@@ -158,16 +161,15 @@ GlwsResult glws_parallel(std::size_t n, double d0, const CostFn& w,
   while (now < n) {
     stats.add_round();
     telemetry::RoundSpan round_span("glws.round", stats);
-    std::uint64_t relax_before =
-        stats.relaxations.load(std::memory_order_relaxed);
     if (core::fuse_round(prev_round_relax, fuse_threshold)) {
       parallel::SequentialRegion seq;
       round();
     } else {
       round();
     }
-    prev_round_relax =
-        stats.relaxations.load(std::memory_order_relaxed) - relax_before;
+    const std::uint64_t relax_after = stats.snapshot().relaxations;
+    prev_round_relax = relax_after - relax_total;
+    relax_total = relax_after;
   }
   res.stats = stats.snapshot();
   return res;

@@ -90,18 +90,20 @@ class EventCount {
 
   /// Wakes one parked waiter (all of them for notify_all).  The caller
   /// must have published the work it is advertising before calling.
-  /// No-ops in one fence + one load when no waiter is registered.
-  void notify_one() noexcept { notify(false); }
-  void notify_all() noexcept { notify(true); }
+  /// Returns whether it signalled: false — after one fence + one load —
+  /// when no waiter is registered, which is what lets callers count real
+  /// wakes rather than attempts.
+  bool notify_one() noexcept { return notify(false); }
+  bool notify_all() noexcept { return notify(true); }
 
  private:
-  void notify(bool all) noexcept {
+  bool notify(bool all) noexcept {
     // Producer half of Dekker: order the caller's work-publication
     // before the waiter-count read.
     std::atomic_thread_fence(std::memory_order_seq_cst);
     // order: seq_cst — the producer half of Dekker; pairs with
     // prepare_wait's registration in the seq_cst total order.
-    if (waiters_.load(std::memory_order_seq_cst) == 0) return;
+    if (waiters_.load(std::memory_order_seq_cst) == 0) return false;
     {
       // The bump must happen under the mutex: commit_wait's predicate
       // runs under it, so a waiter is either not yet inside cv_.wait
@@ -116,6 +118,7 @@ class EventCount {
       cv_.notify_all();
     else
       cv_.notify_one();
+    return true;
   }
 
   std::atomic<std::uint64_t> waiters_{0};

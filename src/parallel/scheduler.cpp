@@ -280,10 +280,10 @@ void Pool::run_job(detail::Job* job) {
   // order: seq_cst — producer half of the join-park Dekker handshake;
   // pairs with wait_for's registration.
   if (join_parked.load(std::memory_order_seq_cst) > 0) {
-    telemetry::count(telemetry::Counter::kSchedWakes);
     // Chaos: delay (never drop) the wake to widen the park/wake race.
     CORDON_FAULT_DELAY(core::fault::Site::kWorkerWake);
-    sleepers.notify_all();
+    if (sleepers.notify_all())
+      telemetry::count(telemetry::Counter::kSchedWakes);
   }
 }
 
@@ -363,11 +363,11 @@ bool push_job(Job* job) {
   telemetry::gauge_add(telemetry::Gauge::kSchedDequeJobs, 1);
   // Publish-then-wake: the push above is the publication, so a parked
   // worker (or join-waiter) can now take the job.  No-op in one fence +
-  // one load when nobody is parked.
-  telemetry::count(telemetry::Counter::kSchedWakes);
+  // one load when nobody is parked, and only a real signal counts.
   // Chaos: delay (never drop) the wake to widen the park/wake race.
   CORDON_FAULT_DELAY(core::fault::Site::kWorkerWake);
-  p.sleepers.notify_one();
+  if (p.sleepers.notify_one())
+    telemetry::count(telemetry::Counter::kSchedWakes);
   return true;
 }
 
@@ -465,10 +465,10 @@ bool adopt_external_worker() {
       telemetry::trace_instant("adopt", "sched");
       // The adopter is about to publish forks onto a fresh deque: give
       // a parked worker a head start on stealing them.
-      telemetry::count(telemetry::Counter::kSchedWakes);
       // Chaos: delay (never drop) the wake to widen the park/wake race.
       CORDON_FAULT_DELAY(core::fault::Site::kWorkerWake);
-      p.sleepers.notify_one();
+      if (p.sleepers.notify_one())
+        telemetry::count(telemetry::Counter::kSchedWakes);
       return true;
     }
   }

@@ -2,6 +2,7 @@
 // the literal Cordon execution (Thm 2.1 correctness) on random DAGs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -91,6 +92,13 @@ TEST(ExplicitCordon, ChainRoundsEqualDepth) {
   auto got = cc::ExplicitCordon(dag).run();
   EXPECT_EQ(got.rounds, n);  // one state per round (chain dependencies)
   for (std::uint32_t i = 0; i < n; ++i) EXPECT_EQ(got.round_of[i], i + 1);
+  // Relaxations count the in-edges the two passes scan, not rounds x E:
+  // in round r the sentinel pass sees states r-1.. (n - max(r-1, 1)
+  // in-edges) and the relax pass states r.. (n - r in-edges).
+  std::uint64_t want = 0;
+  for (std::size_t r = 1; r <= n; ++r)
+    want += (n - std::max<std::size_t>(r - 1, 1)) + (n - r);
+  EXPECT_EQ(got.relaxations, want);  // 143, where rounds x E is 132
 }
 
 TEST(ExplicitCordon, IndependentStatesFinishInOneRound) {
@@ -102,6 +110,9 @@ TEST(ExplicitCordon, IndependentStatesFinishInOneRound) {
     dag.add_edge(0, i, [](double d) { return d + 1.0; });
   auto got = cc::ExplicitCordon(dag).run();
   EXPECT_EQ(got.rounds, 2u);
+  // Round 1 scans all n-1 edges in both passes; round 2 only in the
+  // sentinel pass, which finalizes everything.
+  EXPECT_EQ(got.relaxations, 3 * (n - 1));
 }
 
 TEST(ExplicitCordon, PerStateRoundsWithinDepthBounds) {

@@ -188,6 +188,7 @@ TEST(FamilyOracle, ExplicitCordonAffinePathMatchesGenericExactly) {
     auto generic = cordon.run_generic();
     ASSERT_EQ(affine.values.size(), generic.values.size());
     EXPECT_EQ(affine.rounds, generic.rounds) << "seed " << seed;
+    EXPECT_EQ(affine.relaxations, generic.relaxations) << "seed " << seed;
     for (std::size_t i = 0; i < affine.values.size(); ++i) {
       // Same additions in a different evaluation order can differ by
       // one rounding step; the min/max reductions themselves are exact.

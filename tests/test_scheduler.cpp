@@ -6,6 +6,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/parallel/event_count.hpp"
 #include "src/parallel/scheduler.hpp"
 
 namespace cp = cordon::parallel;
@@ -230,4 +231,25 @@ TEST(Scheduler, ExternalSlotsAreReusedAfterRelease) {
     });
     t.join();
   }
+}
+
+// notify_* reports whether it signalled, and the scheduler counts a wake
+// (cordon_sched_wakes_total) only then: with no registered waiter a
+// notify is one fence and one load, not a wake.
+TEST(EventCount, NotifySignalsOnlyWhenAWaiterIsPrepared) {
+  cp::EventCount ec;
+  EXPECT_FALSE(ec.notify_one());
+  EXPECT_FALSE(ec.notify_all());
+
+  std::uint64_t key = ec.prepare_wait();
+  EXPECT_TRUE(ec.notify_one());
+  // The signal bumped the epoch, so committing with the stale key
+  // returns at once instead of parking.
+  ec.commit_wait(key);
+  EXPECT_FALSE(ec.notify_one()) << "commit_wait deregistered the waiter";
+
+  key = ec.prepare_wait();
+  EXPECT_TRUE(ec.notify_all());
+  ec.cancel_wait();
+  EXPECT_FALSE(ec.notify_all()) << "cancel_wait deregistered the waiter";
 }

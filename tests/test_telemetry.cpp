@@ -258,6 +258,41 @@ TEST(Trace, RoundSpanReadsAtomicStatsViaSnapshot) {
   EXPECT_EQ(delta.histogram(Histogram::kSolverRoundNs).count(), 0u);
 }
 
+// The shard contract: pool workers (through parallel_for) and an
+// adopted external thread add to one stats object at the same time, and
+// snapshot() after the joins is the exact sum.  Every adder must hold a
+// live worker identity — the test thread included, hence its own scope
+// (a no-op when it already is worker 0).
+TEST(AtomicDpStats, ConcurrentPoolAndAdoptedAddsSumExactly) {
+  parallel::ExternalWorkerScope self;
+  ASSERT_TRUE(parallel::is_worker_thread());
+  core::AtomicDpStats stats;
+  constexpr std::size_t kPoolAdds = 1 << 17;
+  constexpr std::size_t kAdopterAdds = 1 << 16;
+  constexpr std::size_t kRounds = 7;
+  std::thread adopter([&] {
+    parallel::ExternalWorkerScope scope;
+    EXPECT_TRUE(scope.adopted());
+    // The adopter's forks are stealable, so pool workers add on its
+    // behalf too.
+    parallel::parallel_for(0, kAdopterAdds, [&](std::size_t) {
+      stats.add_states(1);
+      stats.add_relaxations(3);
+    });
+    for (std::size_t r = 0; r < kRounds; ++r) stats.add_round();
+  });
+  parallel::parallel_for(0, kPoolAdds, [&](std::size_t) {
+    stats.add_states(1);
+    stats.add_relaxations(2);
+  });
+  for (std::size_t r = 0; r < kRounds; ++r) stats.add_round();
+  adopter.join();
+  core::DpStats got = stats.snapshot();
+  EXPECT_EQ(got.states, kPoolAdds + kAdopterAdds);
+  EXPECT_EQ(got.relaxations, 2 * kPoolAdds + 3 * kAdopterAdds);
+  EXPECT_EQ(got.rounds, 2 * kRounds);
+}
+
 TEST(Prometheus, WriterEmitsCumulativeBucketsAndTotals) {
   telemetry::Snapshot snap;
   snap.counters[static_cast<std::size_t>(Counter::kSchedSteals)] = 17;

@@ -3,8 +3,9 @@
 // The scaling harness (scripts/run_benches.sh + check_scaling.py)
 // proves the parallel paths get FASTER with workers; this suite proves
 // they never get WRONG: every registered family, solved at pool sizes
-// {1, 2, 4, 8}, matches the naive reference oracle; repeated parallel
-// solves are deterministic; and the adaptive sequential cutoff
+// {1, 2, 4, 8}, matches the naive reference oracle; its work counts
+// (states, relaxations, rounds) are identical at every pool size and
+// across repeated solves; and the adaptive sequential cutoff
 // (src/core/cutoff.hpp) and round fusion route instances between paths
 // without changing a single answer.
 //
@@ -16,8 +17,10 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/cutoff.hpp"
@@ -85,25 +88,42 @@ struct ForceParallel {
   ScopedEnv tree_w{"CORDON_TREEGLWS_MIN_WORKERS", "1"};
 };
 
+// The exact-count contract: states, relaxations and rounds are a
+// property of the instance, never of the schedule that solved it.
+void expect_same_counts(const core::DpStats& got, const core::DpStats& want,
+                        const std::string& what) {
+  EXPECT_EQ(got.states, want.states) << what;
+  EXPECT_EQ(got.relaxations, want.relaxations) << what;
+  EXPECT_EQ(got.rounds, want.rounds) << what;
+}
+
 }  // namespace
 
 TEST(ThreadSweep, AllFamiliesMatchReferenceAtEveryPoolSize) {
   ForceParallel force;
   const auto& reg = engine::builtin_registry();
   ASSERT_EQ(reg.size(), 9u);
+  // Work counts at the first pool size, per (family, seed); every later
+  // pool size solves the same instance and must reproduce them exactly.
+  std::map<std::pair<std::string, std::uint64_t>, core::DpStats> first;
   for (std::size_t workers : {1u, 2u, 4u, 8u}) {
     restart_pool(workers);
     for (const auto& solver : reg.solvers()) {
-      for (std::uint64_t seed = 1; seed <= 2; ++seed) {
-        std::uint64_t n = 80 + 90 * seed + 13 * workers;
-        engine::Instance inst = solver->generate({n, 5, seed * 77 + workers});
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        std::uint64_t n = 93 + 90 * seed;
+        engine::Instance inst = solver->generate({n, 5, seed * 77});
         engine::SolveResult fast = solver->solve(inst);
         engine::SolveResult ref = solver->solve_reference(inst);
+        const std::string what = std::string(solver->key()) +
+                                 " workers=" + std::to_string(workers) +
+                                 " seed=" + std::to_string(seed);
         double tol = 1e-9 * (1.0 + std::abs(ref.objective));
-        EXPECT_NEAR(fast.objective, ref.objective, tol)
-            << solver->key() << " workers=" << workers << " seed=" << seed;
+        EXPECT_NEAR(fast.objective, ref.objective, tol) << what;
         EXPECT_EQ(fast.path, core::SolvePath::kParallel)
             << solver->key() << ": ForceParallel must defeat routing";
+        auto [it, inserted] =
+            first.try_emplace({std::string(solver->key()), seed}, fast.stats);
+        if (!inserted) expect_same_counts(fast.stats, it->second, what);
       }
     }
   }
@@ -119,9 +139,13 @@ TEST(ThreadSweep, RepeatedParallelSolvesAreDeterministic) {
     for (int rep = 0; rep < 3; ++rep) {
       engine::SolveResult again = solver->solve(inst);
       // Exact equality: scheduling order must not leak into answers
-      // (atomic min-CAS relaxation is order-independent by design).
+      // (atomic min-CAS relaxation is order-independent by design) or
+      // into the work counts.
       EXPECT_EQ(first.objective, again.objective)
           << solver->key() << " rep=" << rep;
+      expect_same_counts(again.stats, first.stats,
+                         std::string(solver->key()) +
+                             " rep=" + std::to_string(rep));
     }
   }
 }
