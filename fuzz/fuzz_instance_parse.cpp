@@ -7,7 +7,9 @@
 //   * a successful parse respects every declared-size cap;
 //   * serialization is a canonical fixpoint: to_string(parse(text))
 //     parses back to byte-identical canonical text;
-//   * the streaming hash equals the hash of the materialized text.
+//   * the streaming hash equals the hash of the materialized text;
+//   * a small enough instance (SolveSizeCheck) solves: Solver::solve
+//     returns a result or rejects it with std::invalid_argument.
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
@@ -15,8 +17,52 @@
 
 #include "fuzz/fuzz_common.hpp"
 #include "src/engine/instance.hpp"
+#include "src/engine/registry.hpp"
 
 using namespace cordon;
+
+namespace {
+
+/// True when every declared size and element count is <= 4096, and for
+/// the families whose work grows with a product of two sizes (gap,
+/// kglws, and lcs, whose match pairs number up to |a|·|b|) that product
+/// is <= 2^16: small enough that one solve per input stays quick.
+struct SolveSizeCheck {
+  using u64 = std::uint64_t;
+  static constexpr u64 kSize = 4096, kProduct = u64{1} << 16;
+
+  static bool pair(u64 x, u64 y) {
+    return x <= kSize && y <= kSize && x * y <= kProduct;
+  }
+  bool operator()(const engine::LisInstance& p) const {
+    return p.values.size() <= kSize;
+  }
+  bool operator()(const engine::LcsInstance& p) const {
+    return pair(p.a.size(), p.b.size());
+  }
+  bool operator()(const engine::GlwsInstance& p) const { return p.n <= kSize; }
+  bool operator()(const engine::KglwsInstance& p) const {
+    return pair(p.n, p.k);
+  }
+  bool operator()(const engine::GapInstance& p) const {
+    return pair(p.a.size(), p.b.size());
+  }
+  bool operator()(const engine::OatInstance& p) const {
+    return p.weights.size() <= kSize;
+  }
+  bool operator()(const engine::ObstInstance& p) const {
+    return p.weights.size() <= kSize;
+  }
+  bool operator()(const engine::TreeGlwsInstance& p) const {
+    return p.parent.size() <= kSize;
+  }
+  bool operator()(const engine::DagInstance& p) const {
+    return p.n <= kSize && p.boundary.size() <= kSize &&
+           p.edges.size() <= kSize;
+  }
+};
+
+}  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
@@ -50,5 +96,16 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   // The streaming hash must agree with hashing the materialized bytes.
   FUZZ_ASSERT(engine::instance_hash(inst) == engine::fnv1a64(canon),
               "streaming hash diverges from text hash");
+
+  // A parsed instance is a request the service would run: it must solve
+  // or be rejected as invalid.  Any other exception escapes this
+  // function and aborts the run.
+  if (std::visit(SolveSizeCheck{}, inst.payload)) {
+    try {
+      (void)engine::builtin_registry().at(inst.kind).solve(inst);
+    } catch (const std::invalid_argument&) {
+      // typed rejection
+    }
+  }
   return 0;
 }

@@ -44,6 +44,11 @@ std::vector<std::string> gather_inputs(int argc, char** argv,
     } else if (fs::is_directory(arg)) {
       for (const auto& e : fs::recursive_directory_iterator(arg))
         if (e.is_regular_file()) paths.push_back(e.path().string());
+    } else if (!fs::exists(arg)) {
+      // A missing corpus must fail the replay, not replay nothing.
+      std::fprintf(stderr, "standalone fuzz driver: no such input: %s\n",
+                   arg);
+      std::exit(2);
     } else {
       paths.push_back(arg);
     }

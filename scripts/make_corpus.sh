@@ -57,6 +57,16 @@ printf 'cordon-instance v1 lis\nvalues 5 1 2\nend\n' \
 printf 'cordon-instance v1 lis\nvalues 2 1 banana\nend\n' \
   > "$OUT/instance/hostile_nonnumeric.inst"
 
+# Parse-valid parent arrays that are not one rooted tree: the solve must
+# reject them, not crash (out-of-range parent), hang (no root, a cycle)
+# or skip nodes (two roots).
+printf 'cordon-instance v1 treeglws\nparent 4294967295 0 1 900000\nd0 0\ncost affine 1 1\nend\n' \
+  > "$OUT/instance/hostile_tree_parent_range.inst"
+printf 'cordon-instance v1 treeglws\nparent 1 0 0\nd0 0\ncost affine 1 1\nend\n' \
+  > "$OUT/instance/hostile_tree_cycle.inst"
+printf 'cordon-instance v1 treeglws\nparent 4294967295 4294967295 0\nd0 0\ncost affine 1 1\nend\n' \
+  > "$OUT/instance/hostile_tree_two_roots.inst"
+
 # --- hostile delta seeds -----------------------------------------------------
 
 # Over-cap op count: kMaxDeltaOps must fire on the declaration.

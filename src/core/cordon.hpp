@@ -103,21 +103,16 @@ class ExplicitCordon {
     ArenaScope scratch(arena);
 
     // CSR by destination: in-edges of state i are the contiguous slice
-    // [in_start[i], in_start[i+1]) of the src/weight SoA arrays.
-    std::span<std::uint32_t> in_start =
-        arena.make_span<std::uint32_t>(n + 1, std::uint32_t{0});
+    // [in_start[i], in_start[i+1]) of the src/weight SoA arrays, gathered
+    // in the DAG's own in-edge order.
+    const Csr& in = dag_.in_edges();
+    const std::span<const std::uint32_t> in_start = in.start;
     std::span<std::uint32_t> in_src = arena.make_span<std::uint32_t>(num_edges);
     std::span<double> in_w = arena.make_span<double>(num_edges);
-    for (const auto& e : dag_.edges()) ++in_start[e.dst + 1];
-    for (std::size_t i = 0; i < n; ++i) in_start[i + 1] += in_start[i];
-    {
-      std::span<std::uint32_t> cursor = arena.make_span<std::uint32_t>(n);
-      for (std::size_t i = 0; i < n; ++i) cursor[i] = in_start[i];
-      for (const auto& e : dag_.edges()) {
-        std::uint32_t at = cursor[e.dst]++;
-        in_src[at] = e.src;
-        in_w[at] = e.weight;
-      }
+    for (std::size_t k = 0; k < num_edges; ++k) {
+      const DpDag::Edge& e = dag_.edges()[in.items[k]];
+      in_src[k] = e.src;
+      in_w[k] = e.weight;
     }
 
     // Step 1: tentative values are exactly the boundary conditions.
@@ -223,10 +218,10 @@ class ExplicitCordon {
     Result res;
     res.round_of.assign(n, 0);
 
-    // Bucket in-edges by destination so per-round passes visit states in
+    // In-edges by destination, so per-round passes visit states in
     // topological order (src < dst always holds).
-    std::vector<std::vector<const DpDag::Edge*>> in(n);
-    for (const auto& e : dag_.edges()) in[e.dst].push_back(&e);
+    const Csr& in = dag_.in_edges();
+    const std::vector<DpDag::Edge>& edges = dag_.edges();
 
     std::size_t remaining = n;
     while (remaining > 0) {
@@ -243,10 +238,11 @@ class ExplicitCordon {
       for (std::uint32_t i = 0; i < n; ++i) {
         if (finalized[i]) continue;
         evaluated += in[i].size();
-        for (const DpDag::Edge* e : in[i]) {
-          if (!finalized[e->src] && better(e->f(d[e->src]), d[i]))
+        for (std::uint32_t k : in[i]) {
+          const DpDag::Edge& e = edges[k];
+          if (!finalized[e.src] && better(e.f(d[e.src]), d[i]))
             sentinel[i] = true;
-          if (blocked[e->src]) blocked[i] = true;
+          if (blocked[e.src]) blocked[i] = true;
         }
         if (sentinel[i]) blocked[i] = true;
       }
@@ -261,9 +257,10 @@ class ExplicitCordon {
       for (std::uint32_t i = 0; i < n; ++i) {
         if (finalized[i]) continue;
         evaluated += in[i].size();
-        for (const DpDag::Edge* e : in[i]) {
-          if (!finalized[e->src]) continue;
-          double cand = e->f(d[e->src]);
+        for (std::uint32_t k : in[i]) {
+          const DpDag::Edge& e = edges[k];
+          if (!finalized[e.src]) continue;
+          double cand = e.f(d[e.src]);
           if (better(cand, d[i])) d[i] = cand;
         }
       }

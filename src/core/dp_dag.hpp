@@ -13,8 +13,11 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <vector>
+
+#include "src/core/csr.hpp"
 
 namespace cordon::core {
 
@@ -41,6 +44,7 @@ class DpDag {
                 bool effective = true) {
     check_edge(src, dst);
     edges_.push_back({src, dst, std::move(f), effective, false, 0.0});
+    in_edges_.reset();
   }
 
   /// Affine transition f(x) = x + weight, recorded as data rather than
@@ -54,6 +58,7 @@ class DpDag {
                       [weight](double x) { return x + weight; }, effective,
                       true, weight});
     ++affine_edges_;
+    in_edges_.reset();
   }
 
   /// True when every edge was added through add_affine_edge.
@@ -78,6 +83,18 @@ class DpDag {
     return boundary_;
   }
 
+  /// In-edges by destination: in_edges()[i] lists the indices into
+  /// edges() of every edge into state i, in insertion order.  Built by
+  /// the first call after the last add_*edge and shared by every reader
+  /// (evaluate, effective_depth, ExplicitCordon); like any lazily built
+  /// member, that first call must not race another reader.
+  [[nodiscard]] const Csr& in_edges() const {
+    if (!in_edges_)
+      in_edges_ = build_csr(n_, edges_.size(),
+                            [&](std::size_t k) { return edges_[k].dst; });
+    return *in_edges_;
+  }
+
   /// Naive topological evaluation of the recurrence: processes every edge.
   /// The oracle for all optimized algorithms.
   [[nodiscard]] std::vector<double> evaluate() const {
@@ -86,12 +103,11 @@ class DpDag {
                              : -std::numeric_limits<double>::infinity();
     std::vector<double> d(n_, worst);
     for (auto& [s, v] : boundary_) d[s] = v;
-    // Edges sorted by dst would be ideal; a bucket pass keeps this O(V+E).
-    std::vector<std::vector<const Edge*>> in(n_);
-    for (const Edge& e : edges_) in[e.dst].push_back(&e);
+    const Csr& in = in_edges();
     for (std::uint32_t i = 0; i < n_; ++i) {
-      for (const Edge* e : in[i]) {
-        double cand = e->f(d[e->src]);
+      for (std::uint32_t k : in[i]) {
+        const Edge& e = edges_[k];
+        double cand = e.f(d[e.src]);
         if (objective_ == Objective::kMin ? cand < d[i] : cand > d[i])
           d[i] = cand;
       }
@@ -103,12 +119,12 @@ class DpDag {
   /// (Sec. 2.2).  Computed by DP over the topological order.
   [[nodiscard]] std::uint64_t effective_depth() const {
     std::vector<std::uint64_t> depth(n_, 0);
-    std::vector<std::vector<const Edge*>> in(n_);
-    for (const Edge& e : edges_) in[e.dst].push_back(&e);
+    const Csr& in = in_edges();
     std::uint64_t best = 0;
     for (std::uint32_t i = 0; i < n_; ++i) {
-      for (const Edge* e : in[i]) {
-        std::uint64_t cand = depth[e->src] + (e->effective ? 1 : 0);
+      for (std::uint32_t k : in[i]) {
+        const Edge& e = edges_[k];
+        std::uint64_t cand = depth[e.src] + (e.effective ? 1 : 0);
         if (cand > depth[i]) depth[i] = cand;
       }
       if (depth[i] > best) best = depth[i];
@@ -127,6 +143,7 @@ class DpDag {
   std::vector<Edge> edges_;
   std::size_t affine_edges_ = 0;
   std::vector<std::pair<std::uint32_t, double>> boundary_;
+  mutable std::optional<Csr> in_edges_;  // see in_edges()
 };
 
 }  // namespace cordon::core

@@ -1,9 +1,10 @@
 #include "src/lcs/lcs.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <span>
-#include <unordered_map>
+#include <stdexcept>
 
 #include "src/core/audit.hpp"
 #include "src/core/cutoff.hpp"
@@ -17,44 +18,75 @@ namespace cordon::lcs {
 
 namespace {
 
-// Bucket positions of each symbol in b (j ascending per symbol), plus the
-// total number of match pairs — so emitters reserve exactly once.
-struct SymbolBuckets {
-  std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> where;
-  std::size_t total_pairs = 0;
+// A slot whose bucket half is core::kNoRow; real buckets number < |b|.
+constexpr std::uint64_t kEmptySlot = ~std::uint64_t{0};
 
-  SymbolBuckets(const std::vector<std::uint32_t>& a,
-                const std::vector<std::uint32_t>& b) {
-    where.reserve(b.size());
-    for (std::uint32_t j = 0; j < b.size(); ++j) where[b[j]].push_back(j);
-    for (std::uint32_t x : a) {
-      auto it = where.find(x);
-      if (it != where.end()) total_pairs += it->second.size();
-    }
-  }
-};
+// Fibonacci hashing: the top bits of the product mix every key bit, so
+// symbols that share their low bits still spread over the table.
+std::size_t home(std::uint32_t symbol, unsigned shift) {
+  return static_cast<std::size_t>((symbol * 0x9e3779b97f4a7c15ull) >> shift);
+}
+
+// The number of match pairs, so emitters size their output exactly once.
+std::size_t count_pairs(const std::vector<std::uint32_t>& a,
+                        const BIndex& index) {
+  std::size_t total = 0;
+  for (std::uint32_t x : a) total += index.positions(x).size();
+  return total;
+}
 
 // Emits every pair in (i asc, j desc) order through emit(i, j).
 template <typename Emit>
-void for_each_pair(const std::vector<std::uint32_t>& a,
-                   const SymbolBuckets& buckets, const Emit& emit) {
+void for_each_pair(const std::vector<std::uint32_t>& a, const BIndex& index,
+                   const Emit& emit) {
   for (std::uint32_t i = 0; i < a.size(); ++i) {
-    auto it = buckets.where.find(a[i]);
-    if (it == buckets.where.end()) continue;
+    const std::span<const std::uint32_t> js = index.positions(a[i]);
     // j descending within equal i: later j first.
-    for (std::size_t k = it->second.size(); k > 0; --k)
-      emit(i, it->second[k - 1]);
+    for (std::size_t k = js.size(); k > 0; --k) emit(i, js[k - 1]);
   }
 }
 
 }  // namespace
 
+BIndex::BIndex(const std::vector<std::uint32_t>& b) {
+  if (b.size() >= core::kNoRow)
+    throw std::length_error("lcs: |b| must fit in 32-bit positions");
+  // At most |b| distinct symbols, so 2|b| slots keep the load <= 1/2.
+  const std::size_t capacity =
+      std::bit_ceil(std::max<std::size_t>(2, 2 * b.size()));
+  shift_ = 64 - static_cast<unsigned>(std::countr_zero(capacity));
+  slots_.assign(capacity, kEmptySlot);
+  std::vector<std::uint32_t> bucket_of(b.size());
+  std::uint32_t buckets = 0;
+  for (std::size_t j = 0; j < b.size(); ++j) {
+    std::size_t s = home(b[j], shift_);
+    while (slots_[s] != kEmptySlot &&
+           static_cast<std::uint32_t>(slots_[s]) != b[j])
+      s = (s + 1) & (capacity - 1);
+    if (slots_[s] == kEmptySlot)
+      slots_[s] = (std::uint64_t{buckets++} << 32) | b[j];
+    bucket_of[j] = static_cast<std::uint32_t>(slots_[s] >> 32);
+  }
+  buckets_ = core::build_csr(buckets, b.size(),
+                             [&](std::size_t j) { return bucket_of[j]; });
+}
+
+std::span<const std::uint32_t> BIndex::positions(
+    std::uint32_t symbol) const noexcept {
+  for (std::size_t s = home(symbol, shift_);;
+       s = (s + 1) & (slots_.size() - 1)) {
+    const std::uint64_t slot = slots_[s];
+    if (slot == kEmptySlot) return {};
+    if (static_cast<std::uint32_t>(slot) == symbol) return buckets_[slot >> 32];
+  }
+}
+
 std::vector<MatchPair> match_pairs(const std::vector<std::uint32_t>& a,
                                    const std::vector<std::uint32_t>& b) {
-  SymbolBuckets buckets(a, b);
+  const BIndex index(b);
   std::vector<MatchPair> pairs;
-  pairs.reserve(buckets.total_pairs);
-  for_each_pair(a, buckets, [&](std::uint32_t i, std::uint32_t j) {
+  pairs.reserve(count_pairs(a, index));
+  for_each_pair(a, index, [&](std::uint32_t i, std::uint32_t j) {
     pairs.push_back({i, j});
   });
   return pairs;  // already (i asc, j desc) by construction
@@ -62,11 +94,12 @@ std::vector<MatchPair> match_pairs(const std::vector<std::uint32_t>& a,
 
 MatchPairsSoA match_pairs_soa(const std::vector<std::uint32_t>& a,
                               const std::vector<std::uint32_t>& b) {
-  SymbolBuckets buckets(a, b);
+  const BIndex index(b);
+  const std::size_t total = count_pairs(a, index);
   MatchPairsSoA pairs;
-  pairs.i.reserve(buckets.total_pairs);
-  pairs.j.reserve(buckets.total_pairs);
-  for_each_pair(a, buckets, [&](std::uint32_t i, std::uint32_t j) {
+  pairs.i.reserve(total);
+  pairs.j.reserve(total);
+  for_each_pair(a, index, [&](std::uint32_t i, std::uint32_t j) {
     pairs.i.push_back(i);
     pairs.j.push_back(j);
   });
@@ -259,14 +292,6 @@ std::vector<MatchPair> recover_chain(const MatchPairsSoA& pairs,
       res);
 }
 
-BIndex build_b_index(const std::vector<std::uint32_t>& b) {
-  BIndex index;
-  index.b_size = b.size();
-  index.where.reserve(b.size());
-  for (std::uint32_t j = 0; j < b.size(); ++j) index.where[b[j]].push_back(j);
-  return index;
-}
-
 void lcs_extend(LcsFrontier& f, const BIndex& index,
                 const std::uint32_t* a_suffix, std::size_t count,
                 core::DpStats& stats) {
@@ -274,9 +299,8 @@ void lcs_extend(LcsFrontier& f, const BIndex& index,
   // the frontier after (prefix ++ suffix) is bitwise the frontier the
   // sequential algorithm would reach on the concatenation.
   for (std::size_t ai = 0; ai < count; ++ai) {
-    auto it = index.where.find(a_suffix[ai]);
-    if (it == index.where.end()) continue;
-    const std::vector<std::uint32_t>& positions = it->second;
+    const std::span<const std::uint32_t> positions =
+        index.positions(a_suffix[ai]);
     for (std::size_t k = positions.size(); k > 0; --k) {
       std::uint32_t j = positions[k - 1];
       auto t = std::lower_bound(f.thresholds.begin(), f.thresholds.end(), j);

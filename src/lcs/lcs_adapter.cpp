@@ -72,7 +72,7 @@ class LcsSolver final : public Solver {
     // stream, which invalidates the thresholds — cold fallback (and a
     // fresh checkpoint for subsequent appends).
     if (st == nullptr || ap == nullptr || !ap->b.empty() ||
-        st->b_index == nullptr || st->b_index->b_size != p.b.size() ||
+        st->b_index == nullptr || st->b_index->b_size() != p.b.size() ||
         st->frontier.a_consumed + ap->a.size() != p.a.size()) {
       return {solve(full), checkpoint(p), false};
     }
@@ -92,7 +92,7 @@ class LcsSolver final : public Solver {
  private:
   static std::shared_ptr<const LcsState> checkpoint(const LcsInstance& p) {
     auto st = std::make_shared<LcsState>();
-    st->b_index = std::make_shared<lcs::BIndex>(lcs::build_b_index(p.b));
+    st->b_index = std::make_shared<const lcs::BIndex>(p.b);
     core::DpStats scratch;
     lcs::lcs_extend(st->frontier, *st->b_index, p.a.data(), p.a.size(),
                     scratch);

@@ -27,39 +27,18 @@ LisResult lis_naive(const std::vector<std::uint64_t>& a) {
 
 namespace {
 
-// Fenwick tree over value ranks supporting prefix-max queries.
-class FenwickMax {
- public:
-  explicit FenwickMax(std::size_t n) : tree_(n + 1, 0) {}
-
-  void update(std::size_t i, std::uint32_t v) {
-    for (++i; i < tree_.size(); i += i & (~i + 1))
-      tree_[i] = std::max(tree_[i], v);
-  }
-
-  /// Max over ranks [0, i) — i.e., strictly smaller values.
-  [[nodiscard]] std::uint32_t prefix_max(std::size_t i) const {
-    std::uint32_t best = 0;
-    for (; i > 0; i -= i & (~i + 1)) best = std::max(best, tree_[i]);
-    return best;
-  }
-
- private:
-  std::vector<std::uint32_t> tree_;
-};
-
-// Dense ranks of a (equal values share a rank).
-std::vector<std::uint32_t> dense_ranks(const std::vector<std::uint64_t>& a) {
-  std::vector<std::uint64_t> sorted(a);
-  std::sort(sorted.begin(), sorted.end());
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-  std::vector<std::uint32_t> rank(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    rank[i] = static_cast<std::uint32_t>(
-        std::lower_bound(sorted.begin(), sorted.end(), a[i]) -
-        sorted.begin());
-  }
-  return rank;
+// One patience step: v replaces the first tail >= v (or extends the
+// longest chain past the end), and the slot it lands in is the length
+// of the longest strictly increasing chain ending at v, minus one.
+std::uint32_t patience_push(std::vector<std::uint64_t>& tails,
+                            std::uint64_t v) {
+  auto it = std::lower_bound(tails.begin(), tails.end(), v);
+  const auto slot = static_cast<std::uint32_t>(it - tails.begin());
+  if (it == tails.end())
+    tails.push_back(v);
+  else
+    *it = v;
+  return slot;
 }
 
 }  // namespace
@@ -68,19 +47,15 @@ LisResult lis_sequential(const std::vector<std::uint64_t>& a) {
   const std::size_t n = a.size();
   LisResult res;
   res.dp.assign(n, 1);
-  std::vector<std::uint32_t> rank = dense_ranks(a);
-  FenwickMax fen(n);
+  std::vector<std::uint64_t> tails;
   core::PollTicker poll;
   for (std::size_t i = 0; i < n; ++i) {
     poll.tick();
-    // Best decision: the max DP among strictly smaller values to the left.
-    std::uint32_t best = fen.prefix_max(rank[i]);
-    res.dp[i] = best + 1;
-    fen.update(rank[i], res.dp[i]);
+    res.dp[i] = patience_push(tails, a[i]) + 1;
     ++res.stats.states;
     ++res.stats.relaxations;  // exactly one effective transition per state
-    if (res.dp[i] > res.length) res.length = res.dp[i];
   }
+  res.length = static_cast<std::uint32_t>(tails.size());
   return res;
 }
 
@@ -136,15 +111,7 @@ std::vector<std::size_t> lis_witness(const std::vector<std::uint64_t>& a,
 void lis_extend(LisFrontier& f, const std::uint64_t* values,
                 std::size_t count, core::DpStats& stats) {
   for (std::size_t i = 0; i < count; ++i) {
-    std::uint64_t v = values[i];
-    // First tail >= v: v extends the chain of that length - 1 and
-    // becomes the new (strictly smaller or equal) tail; past-the-end
-    // means v extends the longest chain.
-    auto it = std::lower_bound(f.tails.begin(), f.tails.end(), v);
-    if (it == f.tails.end())
-      f.tails.push_back(v);
-    else
-      *it = v;
+    patience_push(f.tails, values[i]);
     ++stats.states;
     ++stats.relaxations;
   }

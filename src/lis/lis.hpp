@@ -3,8 +3,9 @@
 // Three algorithms over one recurrence
 //   D[i] = max{1, max_{j<i, A[j]<A[i]} D[j] + 1}:
 //   * lis_naive       — the textbook O(n^2) evaluation (test oracle),
-//   * lis_sequential  — the optimized O(n log k) algorithm [65]: a
-//     Fenwick-tree prefix-max finds each state's best decision exactly,
+//   * lis_sequential  — the optimized O(n log k) algorithm [65]: the
+//     patience frontier (smallest tail per chain length) binary-searched
+//     once per state — the same loop lis_extend runs for sessions,
 //   * lis_parallel    — the Cordon Algorithm: each round extracts the
 //     prefix-minimum elements (the states whose tentative value cannot be
 //     improved) with a tournament tree; round r finalizes exactly the
@@ -28,8 +29,9 @@ struct LisResult {
 /// O(n^2) reference evaluation of the recurrence.
 [[nodiscard]] LisResult lis_naive(const std::vector<std::uint64_t>& a);
 
-/// Optimized sequential algorithm: O(n log n) with a Fenwick prefix-max
-/// over value ranks (the Γ whose parallelization Thm 3.1 analyzes).
+/// Optimized sequential algorithm: O(n log k) patience search over the
+/// frontier of smallest chain tails (k = LIS length; the Γ whose
+/// parallelization Thm 3.1 analyzes).
 [[nodiscard]] LisResult lis_sequential(const std::vector<std::uint64_t>& a);
 
 /// Cordon Algorithm with a tournament tree (Thm 3.1).

@@ -1,6 +1,52 @@
 #include "src/structures/tree_utils.hpp"
 
+#include <stdexcept>
+#include <string>
+
 namespace cordon::structures {
+
+RootedTree::RootedTree(std::vector<std::uint32_t> parent_array)
+    : parent(std::move(parent_array)) {
+  const std::size_t n = parent.size();
+  if (n >= kNoNode)
+    throw std::invalid_argument("tree: more nodes than 32-bit ids hold");
+  for (std::uint32_t v = 0; v < n; ++v) {
+    if (parent[v] == kNoNode) {
+      if (root != kNoNode)
+        throw std::invalid_argument("tree: two roots, nodes " +
+                                    std::to_string(root) + " and " +
+                                    std::to_string(v));
+      root = v;
+    } else if (parent[v] >= n) {
+      throw std::invalid_argument("tree: parent " +
+                                  std::to_string(parent[v]) + " of node " +
+                                  std::to_string(v) + " out of range");
+    }
+  }
+  if (root == kNoNode) throw std::invalid_argument("tree: no root");
+  // Every node must reach the root through its parents.  Walk up from
+  // each node until a node already known to reach it; meeting a node of
+  // the current walk again means the walk entered a cycle.  Each node
+  // joins one walk, so this is O(n) — and a single step per node when
+  // parents precede their children, as generated trees have them.
+  enum : std::uint8_t { kUnknown, kOnWalk, kReachesRoot };
+  std::vector<std::uint8_t> state(n, kUnknown);
+  state[root] = kReachesRoot;
+  std::vector<std::uint32_t> walk;
+  for (std::uint32_t v = 0; v < n; ++v) {
+    std::uint32_t u = v;
+    for (; state[u] == kUnknown; u = parent[u]) {
+      state[u] = kOnWalk;
+      walk.push_back(u);
+    }
+    if (state[u] == kOnWalk)
+      throw std::invalid_argument("tree: node " + std::to_string(u) +
+                                  " lies on a parent cycle");
+    for (std::uint32_t w : walk) state[w] = kReachesRoot;
+    walk.clear();
+  }
+  children = core::build_csr(n, n, [&](std::size_t v) { return parent[v]; });
+}
 
 EulerTour build_euler_tour(const RootedTree& tree) {
   const std::size_t n = tree.size();
@@ -20,7 +66,7 @@ EulerTour build_euler_tour(const RootedTree& tree) {
     et.tin[v] = static_cast<std::uint32_t>(et.order.size());
     et.order.push_back(v);
     if (tree.parent[v] != kNoNode) et.depth[v] = et.depth[tree.parent[v]] + 1;
-    const auto& ch = tree.children[v];
+    const auto ch = tree.children[v];
     for (std::size_t k = ch.size(); k > 0; --k) stack.push_back(ch[k - 1]);
   }
   // tout via a reverse pass: tout[v] = max over subtree of tin + 1.  In

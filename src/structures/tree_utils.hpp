@@ -5,26 +5,24 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/core/csr.hpp"
+
 namespace cordon::structures {
 
-inline constexpr std::uint32_t kNoNode = 0xffffffffu;
+inline constexpr std::uint32_t kNoNode = core::kNoRow;  // 0xffffffff
 
 /// A rooted tree given by a parent array (parent[root] == kNoNode).
-/// Children lists preserve insertion order (node index order).
+/// children[v] is a span of v's children in node-index order, stored as
+/// one CSR over the whole tree.
 struct RootedTree {
   std::vector<std::uint32_t> parent;
-  std::vector<std::vector<std::uint32_t>> children;
-  std::uint32_t root = 0;
+  core::Csr children;
+  std::uint32_t root = kNoNode;
 
-  explicit RootedTree(std::vector<std::uint32_t> parent_array)
-      : parent(std::move(parent_array)), children(parent.size()) {
-    for (std::uint32_t v = 0; v < parent.size(); ++v) {
-      if (parent[v] == kNoNode)
-        root = v;
-      else
-        children[parent[v]].push_back(v);
-    }
-  }
+  /// Throws std::invalid_argument unless the array is one tree: every
+  /// parent in range, exactly one root, and every node reaching it
+  /// through its parents (so no cycles).  O(n).
+  explicit RootedTree(std::vector<std::uint32_t> parent_array);
 
   [[nodiscard]] std::size_t size() const noexcept { return parent.size(); }
 };

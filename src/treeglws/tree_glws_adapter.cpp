@@ -44,10 +44,10 @@ class TreeGlwsSolver final : public Solver {
   }
 
  private:
+  // The tree's shape is checked where every tree is built: RootedTree
+  // rejects a parent array that is not exactly one rooted tree.
   static const TreeGlwsInstance& validate(const Instance& inst) {
     const auto& p = inst.as<TreeGlwsInstance>();
-    if (p.parent.empty())
-      throw std::invalid_argument("treeglws requires a non-empty tree");
     if (p.cost.shape() != glws::Shape::kConvex)
       throw std::invalid_argument("treeglws requires a convex cost family");
     return p;

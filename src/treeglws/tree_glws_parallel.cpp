@@ -158,7 +158,8 @@ TreeGlwsResult tree_glws_parallel(const RootedTree& t, double d0,
   // either an arena span (dense per-node scratch, fixed size) or a
   // round-reused vector (dynamic push targets keep their high-water
   // capacity), so the round loop allocates nothing once warm.
-  std::vector<std::uint32_t> roots = t.children[t.root];
+  std::vector<std::uint32_t> roots(t.children[t.root].begin(),
+                                   t.children[t.root].end());
   std::vector<std::uint32_t> probed;       // all nodes probed this round
   std::span<std::size_t> sentinel = arena.make_span<std::size_t>(n, kUnset);
   std::span<std::uint8_t> ready = arena.make_span<std::uint8_t>(n, std::uint8_t{0});

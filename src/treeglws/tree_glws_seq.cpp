@@ -51,13 +51,15 @@ TreeGlwsResult tree_glws_naive(const RootedTree& t, double d0,
 
 namespace {
 
-// Journal entry for one convex insert: everything needed to restore the
-// decision array on backtrack.
-struct JournalEntry {
-  std::vector<DecisionInterval> popped;  // suffix removed (in order)
-  bool trimmed = false;                  // was the new back's r reduced?
+// Undo record of one open DFS node's convex insert: what restores the
+// decision array when the DFS leaves the node.  The intervals the insert
+// popped sit on one stack shared by all open nodes, from popped_begin up;
+// DFS exits are LIFO, so each node's pops are on top when it leaves.
+struct Undo {
+  std::size_t popped_begin = 0;
+  bool trimmed = false;  // was the new back's r reduced?
   std::size_t old_r = 0;
-  bool pushed = false;                   // was a new interval appended?
+  bool pushed = false;   // was a new interval appended?
 };
 
 }  // namespace
@@ -98,7 +100,8 @@ TreeGlwsResult tree_glws_sequential(const RootedTree& t, double d0,
 
   // Convex insert of candidate u (valid for depths > depth[u]) with undo
   // information.
-  auto insert_candidate = [&](std::uint32_t u, JournalEntry& je) {
+  std::vector<DecisionInterval> popped;  // shared by every open node
+  auto insert_candidate = [&](std::uint32_t u, Undo& je) {
     std::size_t lo = depth[u] + 1;
     if (lo > max_depth) return;
     if (decisions.empty()) {
@@ -113,7 +116,7 @@ TreeGlwsResult tree_glws_sequential(const RootedTree& t, double d0,
       std::uint32_t bj = static_cast<std::uint32_t>(b.j);
       if (eval(u, start) < eval(bj, start)) {
         if (start == b.l) {
-          je.popped.push_back(b);
+          popped.push_back(b);
           decisions.pop_back();
           continue;
         }
@@ -127,7 +130,7 @@ TreeGlwsResult tree_glws_sequential(const RootedTree& t, double d0,
       if (eval(u, b.r) >= eval(bj, b.r)) {
         // u loses throughout b.  If pops happened, u's win suffix starts
         // exactly where the first popped interval did — re-cover it.
-        if (!je.popped.empty()) {
+        if (popped.size() > je.popped_begin) {
           decisions.push_back({b.r + 1, max_depth, u});
           je.pushed = true;
         }
@@ -152,28 +155,30 @@ TreeGlwsResult tree_glws_sequential(const RootedTree& t, double d0,
     je.pushed = true;
   };
 
-  auto undo = [&](JournalEntry& je) {
+  auto undo = [&](const Undo& je) {
     if (je.pushed) decisions.pop_back();
     if (je.trimmed) decisions.back().r = je.old_r;
-    for (std::size_t k = je.popped.size(); k > 0; --k)
-      decisions.push_back(je.popped[k - 1]);
+    while (popped.size() > je.popped_begin) {
+      decisions.push_back(popped.back());
+      popped.pop_back();
+    }
   };
 
-  // Explicit DFS with enter/exit events.
+  // Explicit DFS with enter/exit events; one undo record per open node.
   struct Frame {
     std::uint32_t v;
     bool entering;
   };
   std::vector<Frame> stack{{t.root, true}};
-  std::vector<JournalEntry> journal(n);
+  std::vector<Undo> open;
   core::PollTicker poll;
   while (!stack.empty()) {
     poll.tick();
     auto [v, entering] = stack.back();
     stack.pop_back();
     if (!entering) {
-      undo(journal[v]);
-      journal[v] = {};
+      undo(open.back());
+      open.pop_back();
       continue;
     }
     if (v != t.root) {
@@ -184,7 +189,8 @@ TreeGlwsResult tree_glws_sequential(const RootedTree& t, double d0,
       ev[v] = e(res.d[v], v);
     }
     ++stats.states;
-    insert_candidate(v, journal[v]);
+    insert_candidate(v,
+                     open.emplace_back(Undo{.popped_begin = popped.size()}));
     stack.push_back({v, false});
     for (std::uint32_t c : t.children[v]) stack.push_back({c, true});
   }

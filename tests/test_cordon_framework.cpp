@@ -50,6 +50,33 @@ TEST(DpDag, EvaluateChain) {
   EXPECT_EQ(dag.effective_depth(), 3u);
 }
 
+TEST(DpDag, ParallelEdgesAndBoundaryWithInEdges) {
+  // Edges arrive out of destination order, 0->2 and 1->3 are doubled,
+  // and state 2 has a boundary value that its in-edges beat.
+  cc::DpDag dag(4, cc::Objective::kMin);
+  dag.set_boundary(0, 0.0);
+  dag.set_boundary(2, 4.0);
+  dag.add_affine_edge(1, 3, 7.0, /*effective=*/false);
+  dag.add_affine_edge(0, 1, 1.0);
+  dag.add_affine_edge(0, 2, 9.0);
+  dag.add_affine_edge(1, 2, 2.0);
+  dag.add_affine_edge(0, 2, 5.0);
+  dag.add_affine_edge(2, 3, 1.0);
+  dag.add_affine_edge(1, 3, 3.0);
+  const std::vector<double> want{0.0, 1.0, 3.0, 4.0};
+  EXPECT_EQ(dag.evaluate(), want);
+  EXPECT_EQ(dag.effective_depth(), 3u);  // 0 -> 1 -> 2 -> 3
+  auto affine = cc::ExplicitCordon(dag).run_affine();
+  auto generic = cc::ExplicitCordon(dag).run_generic();
+  EXPECT_EQ(affine.values, want);
+  EXPECT_EQ(generic.values, want);
+  EXPECT_EQ(affine.relaxations, generic.relaxations);
+  // An edge added after a read must show up in the next one.
+  dag.add_affine_edge(0, 3, 0.5);
+  EXPECT_DOUBLE_EQ(dag.evaluate()[3], 0.5);
+  EXPECT_DOUBLE_EQ(cc::ExplicitCordon(dag).run().values[3], 0.5);
+}
+
 TEST(DpDag, EffectiveDepthIgnoresNormalEdges) {
   cc::DpDag dag(4, cc::Objective::kMin);
   dag.set_boundary(0, 0.0);

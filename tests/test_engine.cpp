@@ -176,6 +176,21 @@ TEST(Engine, DagBoundaryOnInnerStateMatchesOracle) {
   EXPECT_DOUBLE_EQ(fast.objective, ref.objective);
 }
 
+TEST(Engine, TreeGlwsRejectsMalformedTrees) {
+  // Parent arrays that parse but are not one rooted tree: a parent out
+  // of range, no root (a cycle), and two roots.
+  const ce::Solver& solver = ce::builtin_registry().at("treeglws");
+  for (const char* parents :
+       {"4294967295 0 1 900000", "1 0 0", "4294967295 4294967295 0"}) {
+    SCOPED_TRACE(parents);
+    ce::Instance inst = ce::from_string(
+        std::string("cordon-instance v1 treeglws\nparent ") + parents +
+        "\nd0 0\ncost affine 1 1\nend\n");
+    EXPECT_THROW((void)solver.solve(inst), std::invalid_argument);
+    EXPECT_THROW((void)solver.solve_reference(inst), std::invalid_argument);
+  }
+}
+
 TEST(Engine, DagInstanceValidation) {
   ce::DagInstance p;
   p.n = 3;

@@ -14,11 +14,18 @@ namespace cp = cordon::parallel;
 
 namespace {
 
+// Draws x < alphabet and stores (x << shift), complemented when flip is
+// set: flip puts the symbols at the top of the u32 range (x = 0 becomes
+// 0xffffffff), shift 20 makes them all share their low 20 bits.
 std::vector<std::uint32_t> random_string(std::size_t n, std::uint64_t seed,
-                                         std::uint32_t alphabet) {
+                                         std::uint32_t alphabet,
+                                         unsigned shift = 0,
+                                         bool flip = false) {
   std::vector<std::uint32_t> s(n);
-  for (std::size_t i = 0; i < n; ++i)
-    s[i] = static_cast<std::uint32_t>(cp::uniform(seed, i, alphabet));
+  for (std::size_t i = 0; i < n; ++i) {
+    auto x = static_cast<std::uint32_t>(cp::uniform(seed, i, alphabet));
+    s[i] = flip ? ~(x << shift) : x << shift;
+  }
   return s;
 }
 
@@ -28,15 +35,30 @@ struct LcsCase {
   std::size_t n, m;
   std::uint32_t alphabet;
   std::uint64_t seed;
+  unsigned shift = 0;  // symbol layout, see random_string
+  bool flip = false;
 };
 
 class LcsSweep : public ::testing::TestWithParam<LcsCase> {};
 
 TEST_P(LcsSweep, AllAlgorithmsAgree) {
-  auto [n, m, alphabet, seed] = GetParam();
-  auto a = random_string(n, seed, alphabet);
-  auto b = random_string(m, seed ^ 0xf00d, alphabet);
+  auto [n, m, alphabet, seed, shift, flip] = GetParam();
+  auto a = random_string(n, seed, alphabet, shift, flip);
+  auto b = random_string(m, seed ^ 0xf00d, alphabet, shift, flip);
   auto pairs = match_pairs(a, b);
+  // Both extractions enumerate exactly the matches, in (i asc, j desc)
+  // order.
+  std::vector<MatchPair> brute;
+  for (std::uint32_t i = 0; i < n; ++i)
+    for (auto j = static_cast<std::uint32_t>(m); j > 0; --j)
+      if (a[i] == b[j - 1]) brute.push_back({i, j - 1});
+  auto soa = match_pairs_soa(a, b);
+  ASSERT_EQ(pairs.size(), brute.size());
+  ASSERT_EQ(soa.size(), brute.size());
+  for (std::size_t p = 0; p < brute.size(); ++p) {
+    ASSERT_TRUE(pairs[p].i == brute[p].i && pairs[p].j == brute[p].j) << p;
+    ASSERT_TRUE(soa.i[p] == brute[p].i && soa.j[p] == brute[p].j) << p;
+  }
   auto nv = lcs_naive(a, b);
   auto sv = lcs_sparse_seq(pairs);
   auto pv = lcs_parallel(pairs);
@@ -57,7 +79,12 @@ INSTANTIATE_TEST_SUITE_P(
                       LcsCase{1, 1, 1, 3}, LcsCase{20, 20, 4, 4},
                       LcsCase{50, 30, 2, 5}, LcsCase{100, 100, 26, 6},
                       LcsCase{100, 100, 2, 7}, LcsCase{300, 200, 8, 8},
-                      LcsCase{500, 500, 3, 9}));
+                      LcsCase{500, 500, 3, 9},
+                      // Symbols at the top of the u32 range, 0xffffffff
+                      // included, and symbols sharing their low 20 bits.
+                      LcsCase{300, 200, 8, 10, 0, true},
+                      LcsCase{400, 300, 64, 11, 20, false},
+                      LcsCase{500, 400, 40, 12, 20, true}));
 
 TEST(Lcs, PairDpEqualsPrefixLcs) {
   // pair_dp[p] must equal the LCS of the prefixes ending at that match

@@ -229,9 +229,19 @@ TEST(CordonService, NoExceptionTypeLeaksThroughSubmit) {
     const char* what;
     ce::Instance inst;
   };
+  // Parent arrays that are not one rooted tree.
+  auto tree = [](std::vector<std::uint32_t> parent) {
+    ce::TreeGlwsInstance p;
+    p.parent = std::move(parent);
+    return ce::Instance{"treeglws", p};
+  };
+  constexpr std::uint32_t kRoot = 0xffffffffu;
   const Case cases[] = {
       {"unknown kind", ce::Instance{"no-such-problem", ce::LisInstance{{1}}}},
       {"hostile declared size", ce::Instance{"glws", hostile}},
+      {"tree parent out of range", tree({kRoot, 0, 1, 900000})},
+      {"tree with no root", tree({1, 0, 0})},
+      {"tree with two roots", tree({kRoot, kRoot, 0})},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.what);

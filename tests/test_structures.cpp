@@ -153,6 +153,29 @@ TEST(EulerTour, SubtreeRangesAndDepths) {
   }
 }
 
+TEST(RootedTree, ChildrenInNodeIndexOrder) {
+  // children[v] lists v's children by increasing node index: the order
+  // the tree DFS, the Euler tour and HLD visit them in.
+  const std::uint32_t n = 500;
+  std::vector<std::uint32_t> star(n, 0), path(n), random(n);
+  for (std::uint32_t v = 1; v < n; ++v) {
+    path[v] = v - 1;
+    random[v] = static_cast<std::uint32_t>(cp::hash64(43, v) % v);
+  }
+  star[0] = path[0] = random[0] = cs::kNoNode;
+  for (const auto& parents : {star, path, random}) {
+    cs::RootedTree t(parents);
+    std::vector<std::vector<std::uint32_t>> expect(n);
+    for (std::uint32_t v = 1; v < n; ++v) expect[parents[v]].push_back(v);
+    EXPECT_EQ(t.root, 0u);
+    for (std::uint32_t v = 0; v < n; ++v)
+      ASSERT_EQ(std::vector<std::uint32_t>(t.children[v].begin(),
+                                           t.children[v].end()),
+                expect[v])
+          << "node " << v;
+  }
+}
+
 // ------------------------------------------------------------------ range tree
 TEST(RangeTree2D, MatchesBruteForce) {
   const std::size_t n = 400;

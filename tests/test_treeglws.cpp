@@ -144,3 +144,30 @@ TEST(TreeGlws, RoundsBoundedByEnvelopeChainOnPath) {
   auto pv = tree_glws_parallel(t, 0.0, w, cordon::glws::identity_e());
   EXPECT_LT(pv.stats.rounds, 60u);
 }
+
+TEST(TreeGlws, SequentialWorkCountsArePinned) {
+  // states and relaxations of the journaled DFS, recorded before its
+  // per-node journal became one shared undo stack: the DFS order and
+  // every envelope comparison must stay exactly as they were.
+  std::vector<std::uint32_t> broom = ct::path_tree_parents(2000);
+  for (std::uint32_t v = 1000; v < 2000; ++v) broom[v] = 999;  // 1000 leaves
+  struct Pin {
+    const char* what;
+    std::vector<std::uint32_t> parents;
+    std::uint64_t cost_seed, relaxations;
+  };
+  const Pin pins[] = {
+      {"random", ct::random_tree_parents(2000, 71), 73, 36618},
+      {"broom", broom, 79, 25324},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.what);
+    RootedTree t(pin.parents);
+    auto w = depth_convex_cost(2000, pin.cost_seed);
+    auto e = cordon::glws::identity_e();
+    auto r = tree_glws_sequential(t, 0.0, w, e);
+    EXPECT_EQ(r.stats.states, 2000u);
+    EXPECT_EQ(r.stats.relaxations, pin.relaxations);
+    expect_same(r, tree_glws_naive(t, 0.0, w, e));
+  }
+}
