@@ -82,6 +82,16 @@ double time_s(Fn&& fn) {
   return std::chrono::duration<double>(t1 - t0).count();
 }
 
+/// Lowest wall-clock seconds over `reps` runs of fn().  Scheduler and
+/// hypervisor noise only ever add time, so the minimum is the steadiest
+/// estimate of one run; the scaling gate compares two such minima.
+template <typename Fn>
+double min_time_s(int reps, Fn&& fn) {
+  double best = time_s(fn);
+  for (int r = 1; r < reps; ++r) best = std::min(best, time_s(fn));
+  return best;
+}
+
 /// Runs fn twice: parallel (current pool) and forced single-thread.
 /// Returns {parallel_seconds, one_thread_seconds}.
 template <typename Fn>

@@ -5,7 +5,7 @@ to the sequential algorithm, and must beat it once the hardware can.
 Consumes one thread-sweep trajectory produced by scripts/run_benches.sh
 (JSON-lines; every record carries the real worker count the scheduler
 used in its "threads" field) and enforces, for the gated families
-(glws, lcs, gap):
+(glws, lis, lcs, gap):
 
   1. Correctness: every record must say verified=1 — a fast wrong
      answer gates nothing.
@@ -19,7 +19,7 @@ used in its "threads" field) and enforces, for the gated families
      tolerance).  Families whose parallel machinery needs more workers
      than t route sequentially via their min-worker floor, so "no
      slower" is exactly what adaptive routing promises; a family that
-     does go parallel at t must genuinely win.  All three gated
+     does go parallel at t must genuinely win.  All four gated
      families have a floor of 8 (src/core/cutoff.hpp), so on a 4-core
      runner every gated point routes sequentially and gate 3 checks
      that the routing costs nothing; each point's printed path shows
@@ -47,10 +47,12 @@ from collections import defaultdict
 # series mix direct/arena/service paths with no sequential_s contract).
 FAMILIES = {
     "bench_fig7_glws": "glws",
+    "bench_lis": "lis",
     "bench_fig6_lcs": "lcs",
     "bench_gap": "gap",
 }
-EXTRA_KEYS = ("k", "L", "cells")
+# Fields that tell instances of one n apart (bench_lis: input shape).
+EXTRA_KEYS = ("shape", "k", "L", "cells")
 
 
 def load(path):

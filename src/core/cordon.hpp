@@ -10,11 +10,12 @@
 //    delimited by sentinels), while efficiency comes from per-problem
 //    structures.
 //
-// 2. `ExplicitCordon` — a literal, unoptimized execution of Steps 1-5 of
-//    Sec. 2.3 over an explicit DpDag.  O(rounds * E) work.  Its
-//    run_affine() body is the production solver of the engine's `dag`
-//    family (src/engine/dag_solver.cpp); run_generic() is the reference
-//    semantics in tests (Thm 2.1 correctness) for arbitrary transitions.
+// 2. `ExplicitCordon` — Steps 1-5 of Sec. 2.3 over an explicit DpDag,
+//    with two bodies.  run_affine() is a frontier execution in O(n + E)
+//    work, the production solver of the engine's `dag` family
+//    (src/engine/dag_solver.cpp); run_generic() is the literal O(rounds
+//    * E) pass, the reference semantics in tests (Thm 2.1 correctness)
+//    for arbitrary transitions.
 #pragma once
 
 #include <concepts>
@@ -29,7 +30,6 @@
 #include "src/core/dp_dag.hpp"
 #include "src/core/trace.hpp"
 #include "src/core/dp_stats.hpp"
-#include "src/core/kernels.hpp"
 
 namespace cordon::core {
 
@@ -55,22 +55,24 @@ std::uint64_t run_phase_parallel(P& problem) {
   return rounds;
 }
 
-/// Literal Steps 1-5 of the Cordon Algorithm over an explicit DAG.
+/// Steps 1-5 of the Cordon Algorithm over an explicit DAG.
 ///
 /// Step 2 puts a sentinel on every tentative state that a *tentative*
 /// state can successfully relax; a state is ready iff no sentinel sits on
 /// any ancestor (inclusive).  Step 3 relaxes descendants of ready states;
-/// Step 4 finalizes.  The per-round computation is the obvious O(E) pass
-/// — this class pins down semantics — but the *execution* of that pass
-/// has two bodies:
+/// Step 4 finalizes.  Both bodies finalize the same states in the same
+/// rounds with the same values:
 ///   * run_affine(): when every edge is f(x) = x + w (all_affine(), the
-///     serializable DAG family), edges live in CSR struct-of-arrays form
-///     and the sentinel/relax inner loops are the masked gather kernels
-///     of core/kernels.hpp over contiguous weight arrays, with all
-///     per-round scratch carved from the worker arena;
-///   * run_generic(): the original std::function-per-edge loop, kept as
-///     the reference semantics for arbitrary transitions — and as the
-///     scalar oracle the kernel path is tested against.
+///     serializable DAG family).  A round's ready set grows from the
+///     states whose sources are all final: a state whose last unfinalized
+///     source joins is ready unless that round's sources relax it, which
+///     is one test over its in-edges.  Only then do the new final states
+///     push d + w along their out-edges.  Edges live in CSR src/dst +
+///     weight arrays; apart from the out-edge index (one build_csr per
+///     solve) the scratch comes from the worker arena;
+///   * run_generic(): the literal per-round pass over every unfinalized
+///     state with one std::function call per edge, kept as the reference
+///     semantics for arbitrary transitions.
 class ExplicitCordon {
  public:
   explicit ExplicitCordon(const DpDag& dag) : dag_(dag) {}
@@ -79,10 +81,13 @@ class ExplicitCordon {
     std::vector<double> values;
     std::vector<std::uint32_t> round_of;  // round in which each state finalized
     std::uint64_t rounds = 0;
-    // In-edges evaluated: every in-edge of each unfinalized state, once
-    // in the sentinel pass (Step 2) and once in the relax pass (Step 3)
-    // of every round it stays unfinalized.  Both bodies count the same
-    // edges, so the number is a property of the DAG, not of the body.
+    // Edges read by the body, which is its work:
+    //   * run_generic: every in-edge of each unfinalized state, once in
+    //     the sentinel pass (Step 2) and once in the relax pass (Step 3)
+    //     of every round it stays unfinalized;
+    //   * run_affine: the in-edges of each state once, in its sentinel
+    //     test, plus each edge once more when its source finalizes
+    //     before its destination (the push), so at most 2E.
     std::uint64_t relaxations = 0;
   };
 
@@ -90,10 +95,11 @@ class ExplicitCordon {
     return dag_.all_affine() ? run_affine() : run_generic();
   }
 
-  /// Kernelized execution over CSR SoA edges; requires all_affine().
+  /// Frontier execution over CSR SoA edges; requires all_affine().
   [[nodiscard]] Result run_affine() const {
     const std::size_t n = dag_.num_states();
     const std::size_t num_edges = dag_.num_edges();
+    const std::vector<DpDag::Edge>& edges = dag_.edges();
     const bool minimize = dag_.objective() == Objective::kMin;
     const double worst = minimize ? std::numeric_limits<double>::infinity()
                                   : -std::numeric_limits<double>::infinity();
@@ -102,96 +108,101 @@ class ExplicitCordon {
     Arena& arena = worker_arena();
     ArenaScope scratch(arena);
 
-    // CSR by destination: in-edges of state i are the contiguous slice
-    // [in_start[i], in_start[i+1]) of the src/weight SoA arrays, gathered
-    // in the DAG's own in-edge order.
+    // Both edge directions as src/dst + weight slices: the in-edges of i
+    // sit at [in.start[i], in.start[i+1]) for its sentinel test, the
+    // out-edges of j at [out.start[j], out.start[j+1]) for its pushes.
+    // Copying them out of the Edge records first is one streaming pass,
+    // and the tests and pushes, which visit states in frontier order,
+    // then read 12 bytes per edge instead of a whole record.
     const Csr& in = dag_.in_edges();
-    const std::span<const std::uint32_t> in_start = in.start;
+    const Csr out = build_csr(n, num_edges,
+                              [&](std::size_t k) { return edges[k].src; });
     std::span<std::uint32_t> in_src = arena.make_span<std::uint32_t>(num_edges);
     std::span<double> in_w = arena.make_span<double>(num_edges);
+    std::span<std::uint32_t> out_dst =
+        arena.make_span<std::uint32_t>(num_edges);
+    std::span<double> out_w = arena.make_span<double>(num_edges);
     for (std::size_t k = 0; k < num_edges; ++k) {
-      const DpDag::Edge& e = dag_.edges()[in.items[k]];
+      const DpDag::Edge& e = edges[in.items[k]];
       in_src[k] = e.src;
       in_w[k] = e.weight;
+      const DpDag::Edge& f = edges[out.items[k]];
+      out_dst[k] = f.dst;
+      out_w[k] = f.weight;
     }
 
     // Step 1: tentative values are exactly the boundary conditions.
     std::vector<double> d(n, worst);
     for (auto& [state, value] : dag_.boundaries()) d[state] = value;
 
-    std::span<std::uint8_t> finalized =
-        arena.make_span<std::uint8_t>(n, std::uint8_t{0});
-    std::span<std::uint8_t> tentative =
-        arena.make_span<std::uint8_t>(n, std::uint8_t{1});
-    std::span<std::uint8_t> blocked = arena.make_span<std::uint8_t>(n);
     Result res;
-    res.round_of.assign(n, 0);
+    res.round_of.assign(n, 0);  // 0 = not finalized yet
+    // pending[i]: in-edges of i whose source is not finalized.  order
+    // lists the states in finalization order, so a round's ready set is
+    // the slice order[begin, end).  next holds the states that open the
+    // next round: every source is final, and no sentinel can sit on them.
+    std::span<std::uint32_t> pending = arena.make_span<std::uint32_t>(n);
+    std::span<std::uint32_t> order = arena.make_span<std::uint32_t>(n);
+    std::span<std::uint32_t> next = arena.make_span<std::uint32_t>(n);
+    std::size_t next_size = 0;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      pending[i] = in.start[i + 1] - in.start[i];
+      if (pending[i] == 0) next[next_size++] = i;
+    }
 
-    auto in_count = [&](std::size_t i) {
-      return static_cast<std::size_t>(in_start[i + 1] - in_start[i]);
-    };
-    auto tentative_best = [&](std::size_t i) {
-      // Best relaxation of i from TENTATIVE sources only (Step 2).
-      return minimize
-                 ? kernels::min_gather_add(d.data(), in_src.data() + in_start[i],
-                                           in_w.data() + in_start[i],
-                                           tentative.data(), in_count(i))
-                 : kernels::max_gather_add(d.data(), in_src.data() + in_start[i],
-                                           in_w.data() + in_start[i],
-                                           tentative.data(), in_count(i));
-    };
-    auto finalized_best = [&](std::size_t i) {
-      // Best relaxation of i from FINALIZED sources only (Step 3).
-      return minimize
-                 ? kernels::min_gather_add(d.data(), in_src.data() + in_start[i],
-                                           in_w.data() + in_start[i],
-                                           finalized.data(), in_count(i))
-                 : kernels::max_gather_add(d.data(), in_src.data() + in_start[i],
-                                           in_w.data() + in_start[i],
-                                           finalized.data(), in_count(i));
-    };
-
-    std::vector<std::uint32_t> frontier;  // reused every round
-    std::size_t remaining = n;
-    while (remaining > 0) {
+    std::size_t end = 0;
+    while (end < n) {
       poll_cancel();  // round boundary: cancellation/deadline check
       ++res.rounds;
       telemetry::TraceSpan round_span("dag.round", "solver");
       telemetry::count(telemetry::Counter::kSolverRounds);
-      std::uint64_t evaluated = 0;  // in-edges gathered this round
-      // Step 2: sentinel iff some tentative source successfully relaxes
-      // i; blocked = descendants (inclusive) of sentinel states — one
-      // pass in state order suffices because src < dst on every edge.
-      for (std::uint32_t i = 0; i < n; ++i) {
-        if (finalized[i] != 0) {
-          blocked[i] = 0;
-          continue;
+      const auto round = static_cast<std::uint32_t>(res.rounds);
+      const std::size_t begin = end;
+      for (std::size_t k = 0; k < next_size; ++k) {
+        order[end++] = next[k];
+        res.round_of[next[k]] = round;
+      }
+      next_size = 0;
+      // Step 2: a state whose last unfinalized source joins this round
+      // had only ready tentative sources, so it is ready unless one of
+      // them relaxes it successfully (a sentinel).  That test reads the
+      // round-start d: no push runs until the ready set is fixed.  Its
+      // sources from earlier rounds have pushed into d[i] already, so
+      // they cannot relax it and the test may read every in-edge.
+      std::uint64_t evaluated = 0;  // in-edges tested + out-edges pushed
+      for (std::size_t q = begin; q < end; ++q) {
+        const std::uint32_t j = order[q];
+        for (std::uint32_t k = out.start[j]; k < out.start[j + 1]; ++k) {
+          const std::uint32_t i = out_dst[k];
+          if (--pending[i] != 0) continue;
+          bool sentinel = false;
+          for (std::uint32_t e = in.start[i]; e < in.start[i + 1]; ++e) {
+            const std::uint32_t src = in_src[e];
+            sentinel |= better(d[src] + in_w[e], d[i]);
+          }
+          evaluated += in[i].size();
+          if (sentinel) {
+            next[next_size++] = i;
+          } else {
+            res.round_of[i] = round;
+            order[end++] = i;
+          }
         }
-        evaluated += in_count(i);
-        bool sentinel = better(tentative_best(i), d[i]);
-        blocked[i] =
-            sentinel ||
-            kernels::mask_gather_any(blocked.data(),
-                                     in_src.data() + in_start[i], in_count(i));
       }
-      // Steps 3+4: ready states finalize and relax their descendants.
-      frontier.clear();
-      for (std::uint32_t i = 0; i < n; ++i)
-        if (finalized[i] == 0 && blocked[i] == 0) frontier.push_back(i);
-      for (std::uint32_t i : frontier) {
-        finalized[i] = 1;
-        tentative[i] = 0;
-        res.round_of[i] = static_cast<std::uint32_t>(res.rounds);
-      }
-      for (std::uint32_t i = 0; i < n; ++i) {
-        if (finalized[i] != 0) continue;
-        evaluated += in_count(i);
-        double cand = finalized_best(i);
-        if (better(cand, d[i])) d[i] = cand;
+      if (end == begin) throw_stuck(res.rounds, n - end, res.round_of);
+      // Steps 3+4: the ready states are final; they relax every
+      // unfinalized successor once.
+      for (std::size_t q = begin; q < end; ++q) {
+        const std::uint32_t j = order[q];
+        for (std::uint32_t k = out.start[j]; k < out.start[j + 1]; ++k) {
+          const std::uint32_t i = out_dst[k];
+          if (res.round_of[i] != 0) continue;
+          ++evaluated;
+          const double cand = d[j] + out_w[k];
+          if (better(cand, d[i])) d[i] = cand;
+        }
       }
       res.relaxations += evaluated;
-      remaining -= frontier.size();
-      if (frontier.empty()) throw_stuck(res.rounds, remaining, finalized);
     }
     res.values = std::move(d);
     return res;

@@ -23,13 +23,15 @@
 //
 // Every threshold is overridable per family through the environment
 // (read on each call so tests can flip it at runtime):
-//   CORDON_GLWS_CUTOFF / CORDON_LCS_CUTOFF / CORDON_GAP_CUTOFF /
+//   CORDON_GLWS_CUTOFF / CORDON_LIS_CUTOFF / CORDON_GAP_CUTOFF /
 //   CORDON_TREEGLWS_CUTOFF  — instance-size cutoffs, 0 disables the
 //                             size test (parallelism test still applies)
 //   CORDON_<FAMILY>_MIN_WORKERS — workers below which the family routes
 //                             sequentially regardless of size
 //   CORDON_FUSE_RELAX       — per-round relaxation floor for fusion,
 //                             0 disables fusion
+// lis and lcs run one key-stream core (src/lis/lis.hpp), so the
+// CORDON_LIS_* pair routes both.
 #pragma once
 
 #include <cstddef>
@@ -47,7 +49,7 @@ namespace cordon::core {
 /// win even on a fully parallel machine once fork/round overhead is
 /// paid.  Tuning guidance lives in docs/SCALING.md.
 inline constexpr std::size_t kGlwsSeqCutoff = 2048;      // n states
-inline constexpr std::size_t kLcsSeqCutoff = 4096;       // matched pairs
+inline constexpr std::size_t kLisSeqCutoff = 4096;       // keys: values or match pairs
 inline constexpr std::size_t kGapSeqCutoff = 16384;      // dp cells
 inline constexpr std::size_t kTreeGlwsSeqCutoff = 2048;  // tree nodes
 
@@ -57,15 +59,16 @@ inline constexpr std::size_t kTreeGlwsSeqCutoff = 2048;  // tree nodes
 /// overhead ratio alone mispredicts it.  glws pays only ~2.3x inline,
 /// yet on a 4-vCPU host (n = 2^20, 10,486 rounds, each paying a
 /// fork/join) glws_parallel took 1.5-4.1 s against 0.22-0.25 s
-/// sequential, so its floor is 8, like lcs (~5.7x, tournament tree vs
-/// a threshold walk), gap (~6x, staircase probing + row/column
+/// sequential, so its floor is 8, like lis and lcs (tournament tree vs
+/// the patience loop: lis at n = 2^21 took 0.41 s on 4 workers against
+/// 0.19 s sequential), gap (~6x, staircase probing + row/column
 /// envelope merges) and treeglws.  No 8-core measurement backs the 8;
 /// it only says that 4 loses.  Below the family's floor the `*_auto`
 /// entry points route sequentially — that IS the right production
 /// answer on that machine, not a concession.
-/// Overrides: CORDON_<FAMILY>_MIN_WORKERS.
+/// Overrides: CORDON_<FAMILY>_MIN_WORKERS (CORDON_LIS_* for lcs too).
 inline constexpr std::size_t kGlwsMinWorkers = 8;
-inline constexpr std::size_t kLcsMinWorkers = 8;
+inline constexpr std::size_t kLisMinWorkers = 8;
 inline constexpr std::size_t kGapMinWorkers = 8;
 inline constexpr std::size_t kTreeGlwsMinWorkers = 8;
 

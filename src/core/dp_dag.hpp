@@ -49,8 +49,8 @@ class DpDag {
 
   /// Affine transition f(x) = x + weight, recorded as data rather than
   /// code.  When EVERY edge is affine (all_affine()), ExplicitCordon runs
-  /// its vectorized SoA path — gathered min-plus kernels over contiguous
-  /// weight arrays — instead of calling one std::function per edge.
+  /// its O(n + E) frontier body over CSR weight arrays instead of calling
+  /// one std::function per edge in every round.
   void add_affine_edge(std::uint32_t src, std::uint32_t dst, double weight,
                        bool effective = true) {
     check_edge(src, dst);

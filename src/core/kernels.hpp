@@ -2,11 +2,10 @@
 //
 // Every cordon-round inner loop bottoms out in one of a handful of
 // shapes: "min over a[i] + b[i]" (argmin of contiguous candidate arrays),
-// the same with a stride or a gather (OBST columns, DAG in-edges), and
-// bulk widen/scatter moves between SoA frontier arrays.  This header
-// implements those shapes once, the way auto-vectorizers like them —
-// contiguous loads, no early exits, branchless selects — and every SoA
-// solver plus ExplicitCordon's inner relaxation calls them.
+// the same with a stride (OBST columns), and scatters into SoA frontier
+// arrays.  This header implements those shapes once, the way
+// auto-vectorizers like them — contiguous loads, no early exits,
+// branchless selects — and the SoA solvers call them.
 //
 // Vectorization is a *hint*, never a semantic: `CORDON_SIMD_LOOP` expands
 // to the strongest innocuous per-compiler loop pragma (clang loop /
@@ -105,43 +104,6 @@ inline ArgMin argmin_add_strided(const double* a, const double* b,
   return best;
 }
 
-/// min over masked gathered relaxations: values[src[e]] + w[e] for edges
-/// e in [0, n) whose source passes `mask` (mask[src[e]] != 0).  The DAG
-/// relaxation pass: mask = finalized.
-inline double min_gather_add(const double* values, const std::uint32_t* src,
-                             const double* w, const std::uint8_t* mask,
-                             std::size_t n) {
-  double best = kInf;
-  for (std::size_t e = 0; e < n; ++e) {
-    if (mask != nullptr && mask[src[e]] == 0) continue;
-    double v = values[src[e]] + w[e];
-    if (v < best) best = v;
-  }
-  return best;
-}
-
-/// max variant of min_gather_add (DAGs with Objective::kMax).
-inline double max_gather_add(const double* values, const std::uint32_t* src,
-                             const double* w, const std::uint8_t* mask,
-                             std::size_t n) {
-  double best = -kInf;
-  for (std::size_t e = 0; e < n; ++e) {
-    if (mask != nullptr && mask[src[e]] == 0) continue;
-    double v = values[src[e]] + w[e];
-    if (v > best) best = v;
-  }
-  return best;
-}
-
-/// True iff mask[idx[e]] != 0 for any e in [0, n) (blocked-ancestor
-/// propagation over gathered in-edge sources).
-inline bool mask_gather_any(const std::uint8_t* mask, const std::uint32_t* idx,
-                            std::size_t n) {
-  for (std::size_t e = 0; e < n; ++e)
-    if (mask[idx[e]] != 0) return true;
-  return false;
-}
-
 /// dst[idx[k]] = value for k in [0, n) (frontier finalization scatter).
 inline void scatter_fill(std::uint32_t* dst, const std::size_t* idx,
                          std::size_t n, std::uint32_t value) {
@@ -213,65 +175,11 @@ inline ArgMin argmin_add_strided(const double* a, const double* b,
   return best;
 }
 
-/// min over values[src[e]] + w[e] with a branchless source mask: masked-
-/// out edges contribute +inf through a select instead of a branch.
-inline double min_gather_add(const double* values, const std::uint32_t* src,
-                             const double* w, const std::uint8_t* mask,
-                             std::size_t n) {
-  double best = kInf;
-  if (mask == nullptr) {
-    CORDON_SIMD_LOOP
-    for (std::size_t e = 0; e < n; ++e) {
-      double v = values[src[e]] + w[e];
-      best = v < best ? v : best;
-    }
-  } else {
-    CORDON_SIMD_LOOP
-    for (std::size_t e = 0; e < n; ++e) {
-      double v = mask[src[e]] != 0 ? values[src[e]] + w[e] : kInf;
-      best = v < best ? v : best;
-    }
-  }
-  return best;
-}
-
-/// max variant of min_gather_add.
-inline double max_gather_add(const double* values, const std::uint32_t* src,
-                             const double* w, const std::uint8_t* mask,
-                             std::size_t n) {
-  double best = -kInf;
-  if (mask == nullptr) {
-    CORDON_SIMD_LOOP
-    for (std::size_t e = 0; e < n; ++e) {
-      double v = values[src[e]] + w[e];
-      best = v > best ? v : best;
-    }
-  } else {
-    CORDON_SIMD_LOOP
-    for (std::size_t e = 0; e < n; ++e) {
-      double v = mask[src[e]] != 0 ? values[src[e]] + w[e] : -kInf;
-      best = v > best ? v : best;
-    }
-  }
-  return best;
-}
-
 /// dst[idx[k]] = value.
 inline void scatter_fill(std::uint32_t* dst, const std::size_t* idx,
                          std::size_t n, std::uint32_t value) {
   CORDON_SIMD_LOOP
   for (std::size_t k = 0; k < n; ++k) dst[idx[k]] = value;
-}
-
-/// True iff mask[idx[e]] != 0 for any e in [0, n).  Branchless OR
-/// accumulation (no early exit: in-edge lists are short and the straight
-/// line beats a mispredicted break).
-inline bool mask_gather_any(const std::uint8_t* mask, const std::uint32_t* idx,
-                            std::size_t n) {
-  std::uint8_t any = 0;
-  CORDON_SIMD_LOOP
-  for (std::size_t e = 0; e < n; ++e) any |= mask[idx[e]];
-  return any != 0;
 }
 
 /// Parallel scatter_fill: blocks of `idx` are forked across the pool and

@@ -1,7 +1,7 @@
-// Engine adapter: explicit DP DAGs solved by the ExplicitCordon
-// reference (Sec. 2.3) — the ninth registered family, and the one whose
-// effective depth d^(G) is computed exactly rather than inferred from
-// rounds.
+// Engine adapter: explicit DP DAGs solved by ExplicitCordon's frontier
+// execution of Steps 1-5 (Sec. 2.3), O(n + E) work — the ninth
+// registered family, and the one whose effective depth d^(G) is
+// computed exactly rather than inferred from rounds.
 #include <memory>
 #include <stdexcept>
 
@@ -16,8 +16,8 @@ class DagSolver final : public Solver {
  public:
   [[nodiscard]] std::string_view key() const override { return "dag"; }
   [[nodiscard]] std::string_view description() const override {
-    return "explicit DP DAG with affine transitions, solved by the "
-           "ExplicitCordon reference (Sec. 2.3)";
+    return "explicit DP DAG with affine transitions, solved by an "
+           "O(n+E) frontier execution of the Cordon Algorithm (Sec. 2.3)";
   }
 
   [[nodiscard]] SolveResult solve(const Instance& inst) const override {
@@ -27,8 +27,9 @@ class DagSolver final : public Solver {
     SolveResult out;
     out.objective = r.values.empty() ? 0.0 : r.values.back();
     out.stats.states = p.n;
-    // In-edges the sentinel and relax passes scanned; finalized states
-    // drop out of both.
+    // Edges the frontier read: each state's in-edges once in its
+    // sentinel test, plus one push per edge whose source finalized
+    // first — at most 2E.
     out.stats.relaxations = r.relaxations;
     out.stats.rounds = r.rounds;
     out.effective_depth = dag.effective_depth();

@@ -83,8 +83,8 @@ core::DpDag DagInstance::build() const {
   }
   core::DpDag dag(n, objective);
   for (auto& [state, value] : boundary) dag.set_boundary(state, value);
-  // Affine edges as data: with every edge affine the ExplicitCordon
-  // solves this DAG through its vectorized CSR path.
+  // Affine edges as data: with every edge affine ExplicitCordon solves
+  // this DAG through its O(n + E) frontier body, run_affine.
   for (const Edge& e : edges)
     dag.add_affine_edge(e.src, e.dst, e.weight, e.effective);
   return dag;

@@ -87,7 +87,7 @@ struct TreeGlwsInstance {
 };
 
 /// An explicit DP DAG with affine transitions f(x) = x + weight — the
-/// serializable subset of DpDag, solved by the ExplicitCordon reference.
+/// serializable subset of DpDag, solved by ExplicitCordon::run_affine.
 struct DagInstance {
   struct Edge {
     std::uint32_t src = 0, dst = 0;

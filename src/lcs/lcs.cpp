@@ -2,17 +2,10 @@
 
 #include <algorithm>
 #include <bit>
-#include <limits>
 #include <span>
 #include <stdexcept>
 
-#include "src/core/audit.hpp"
-#include "src/core/cutoff.hpp"
-#include "src/core/kernels.hpp"
-#include "src/core/trace.hpp"
-#include "src/parallel/primitives.hpp"
-#include "src/parallel/sort.hpp"
-#include "src/structures/tournament_tree.hpp"
+#include "src/lis/lis.hpp"
 
 namespace cordon::lcs {
 
@@ -127,78 +120,12 @@ LcsResult lcs_naive(const std::vector<std::uint32_t>& a,
 
 namespace {
 
-// Hunt–Szymanski core over the contiguous j stream: process pairs in
-// (i asc, j desc) order; thresholds[k] is the smallest j ending a chain
-// of length k+1.  Because j is descending within one i, a pair never
-// chains onto another pair with the same i.
-LcsResult sparse_seq_impl(std::span<const std::uint32_t> js) {
-  LcsResult res;
-  res.pair_dp.assign(js.size(), 0);
-  std::vector<std::uint32_t> thresholds;  // strictly increasing j values
-  core::PollTicker poll;
-  for (std::size_t p = 0; p < js.size(); ++p) {
-    poll.tick();
-    std::uint32_t j = js[p];
-    auto it = std::lower_bound(thresholds.begin(), thresholds.end(), j);
-    std::uint32_t len = static_cast<std::uint32_t>(it - thresholds.begin());
-    if (it == thresholds.end())
-      thresholds.push_back(j);
-    else
-      *it = j;
-    // The frontier stays strictly increasing after every overwrite:
-    // O(1) neighbor probe at the touched slot is enough, since only one
-    // slot changed.
-    CORDON_DCHECK(len == 0 || thresholds[len - 1] < thresholds[len],
-                  "lcs threshold frontier lost sortedness (left)");
-    CORDON_DCHECK(len + 1 >= thresholds.size() ||
-                      thresholds[len] < thresholds[len + 1],
-                  "lcs threshold frontier lost sortedness (right)");
-    res.pair_dp[p] = len + 1;
-    ++res.stats.states;
-    ++res.stats.relaxations;
-  }
-  res.length = static_cast<std::uint32_t>(thresholds.size());
-  return res;
-}
-
-// Cordon rounds over the j key stream.  The pairs on the cordon are
-// exactly the prefix minima (Sec. 3, Fig. 2(f)), i.e., the LCS over the
-// secondary keys is an LIS instance.  One frontier buffer is reused for
-// every round and the finalization scatter runs through the block kernel.
-LcsResult parallel_impl(std::span<const std::uint32_t> js) {
-  LcsResult res;
-  res.pair_dp.assign(js.size(), 0);
-  if (js.empty()) return res;
-
-  structures::TournamentTree tree(js);
-  core::AtomicDpStats stats;
-  std::vector<std::size_t> frontier;  // reused: zero-alloc steady state
-  // Round fusion: a cordon of few pairs (relaxations == frontier size)
-  // is not worth forking the scatter for; run such rounds inline.  The
-  // previous round's frontier predicts the next one well enough here.
-  const std::size_t fuse_threshold = core::fuse_relax_threshold();
-  std::size_t prev_frontier = std::numeric_limits<std::size_t>::max();
-  std::uint32_t round = 0;
-  while (!tree.empty()) {
-    ++round;
-    telemetry::RoundSpan round_span("lcs.round", stats);
-    tree.extract_prefix_minima_into(frontier);
-    stats.add_round();
-    stats.add_states(frontier.size());
-    stats.add_relaxations(frontier.size());
-    if (core::fuse_round(prev_frontier, fuse_threshold)) {
-      parallel::SequentialRegion seq;
-      core::kernels::parallel_scatter_fill(res.pair_dp.data(), frontier.data(),
-                                           frontier.size(), round);
-    } else {
-      core::kernels::parallel_scatter_fill(res.pair_dp.data(), frontier.data(),
-                                           frontier.size(), round);
-    }
-    prev_frontier = frontier.size();
-  }
-  res.length = round;
-  res.stats = stats.snapshot();
-  return res;
+// Hunt–Szymanski thresholds are the patience tails of the j stream:
+// pairs in (i asc, j desc) order never chain onto a pair with the same
+// i, so LCS over the pairs is LIS over their j coordinates (Sec. 3,
+// Fig. 2(f)), and the lis key-stream core solves it.
+LcsResult from_keys(lis::LisResult&& r) {
+  return {r.length, r.stats, std::move(r.dp), r.path};
 }
 
 // The AoS entry points only need the j stream: peel it off once.
@@ -211,43 +138,30 @@ std::vector<std::uint32_t> j_stream(const std::vector<MatchPair>& pairs) {
 }  // namespace
 
 LcsResult lcs_sparse_seq(const std::vector<MatchPair>& pairs) {
-  return sparse_seq_impl(j_stream(pairs));
+  return from_keys(lis::keys_sequential<std::uint32_t>(j_stream(pairs)));
 }
 
 LcsResult lcs_sparse_seq(const MatchPairsSoA& pairs) {
-  return sparse_seq_impl(pairs.j);
+  return from_keys(lis::keys_sequential<std::uint32_t>(pairs.j));
 }
 
 LcsResult lcs_parallel(const std::vector<MatchPair>& pairs) {
-  return parallel_impl(j_stream(pairs));
+  return from_keys(
+      lis::keys_parallel<std::uint32_t>(j_stream(pairs), "lcs.round"));
 }
 
 LcsResult lcs_parallel(const MatchPairsSoA& pairs) {
-  return parallel_impl(pairs.j);
+  return from_keys(lis::keys_parallel<std::uint32_t>(pairs.j, "lcs.round"));
 }
-
-namespace {
-
-LcsResult auto_impl(std::span<const std::uint32_t> js) {
-  const std::size_t cutoff =
-      core::cutoff_from_env("CORDON_LCS_CUTOFF", core::kLcsSeqCutoff);
-  const std::size_t min_workers =
-      core::cutoff_from_env("CORDON_LCS_MIN_WORKERS", core::kLcsMinWorkers);
-  if (core::use_sequential(js.size(), cutoff, min_workers)) {
-    LcsResult r = sparse_seq_impl(js);
-    r.path = core::SolvePath::kSequentialCutoff;
-    return r;
-  }
-  return parallel_impl(js);
-}
-
-}  // namespace
 
 LcsResult lcs_auto(const std::vector<MatchPair>& pairs) {
-  return auto_impl(j_stream(pairs));
+  return from_keys(
+      lis::keys_auto<std::uint32_t>(j_stream(pairs), "lcs.round"));
 }
 
-LcsResult lcs_auto(const MatchPairsSoA& pairs) { return auto_impl(pairs.j); }
+LcsResult lcs_auto(const MatchPairsSoA& pairs) {
+  return from_keys(lis::keys_auto<std::uint32_t>(pairs.j, "lcs.round"));
+}
 
 namespace {
 
@@ -295,25 +209,14 @@ std::vector<MatchPair> recover_chain(const MatchPairsSoA& pairs,
 void lcs_extend(LcsFrontier& f, const BIndex& index,
                 const std::uint32_t* a_suffix, std::size_t count,
                 core::DpStats& stats) {
-  // Same update as sparse_seq_impl, same (i asc, j desc) pair order:
-  // the frontier after (prefix ++ suffix) is bitwise the frontier the
-  // sequential algorithm would reach on the concatenation.
+  // The patience step lcs_sparse_seq runs, in the same (i asc, j desc)
+  // pair order: the frontier after (prefix ++ suffix) is bitwise the
+  // frontier the sequential algorithm would reach on the concatenation.
   for (std::size_t ai = 0; ai < count; ++ai) {
     const std::span<const std::uint32_t> positions =
         index.positions(a_suffix[ai]);
     for (std::size_t k = positions.size(); k > 0; --k) {
-      std::uint32_t j = positions[k - 1];
-      auto t = std::lower_bound(f.thresholds.begin(), f.thresholds.end(), j);
-      std::size_t slot = static_cast<std::size_t>(t - f.thresholds.begin());
-      if (t == f.thresholds.end())
-        f.thresholds.push_back(j);
-      else
-        *t = j;
-      CORDON_DCHECK(slot == 0 || f.thresholds[slot - 1] < f.thresholds[slot],
-                    "lcs resumed frontier lost sortedness (left)");
-      CORDON_DCHECK(slot + 1 >= f.thresholds.size() ||
-                        f.thresholds[slot] < f.thresholds[slot + 1],
-                    "lcs resumed frontier lost sortedness (right)");
+      lis::patience_push(f.thresholds, positions[k - 1]);
       ++f.pairs_consumed;
       ++stats.states;
       ++stats.relaxations;

@@ -12,6 +12,10 @@
 //     states with LCS value = round number.  O(L log n) work,
 //     O(k log n) span where k is the LCS length.
 //
+// In that order LCS over the pairs is LIS over their j stream (Sec. 3),
+// so all three sparse entry points, and the session frontier, run the
+// key-stream core of src/lis/lis.hpp.
+//
 // The pre-processing that finds match pairs is provided, as in the paper,
 // which leaves it out of its timings.  Solver::solve pays it on every
 // call: a flat symbol index over b (BIndex) and one pass over a.  At
@@ -81,10 +85,11 @@ struct LcsResult {
 [[nodiscard]] LcsResult lcs_parallel(const MatchPairsSoA& pairs);
 
 /// Production entry point: lcs_sparse_seq when effective parallelism is
-/// 1 or L (the pair count) is under the adaptive cutoff
-/// (core::kLcsSeqCutoff, override CORDON_LCS_CUTOFF), lcs_parallel
-/// otherwise.  The routing decision is recorded in LcsResult::path.
-/// Both produce the same pair_dp semantics (LCS value ending at pair p).
+/// below core::kLisMinWorkers or L (the pair count) is under
+/// core::kLisSeqCutoff (overrides CORDON_LIS_MIN_WORKERS /
+/// CORDON_LIS_CUTOFF, shared with lis_auto), lcs_parallel otherwise.
+/// The routing decision is recorded in LcsResult::path.  Both produce
+/// the same pair_dp semantics (LCS value ending at pair p).
 [[nodiscard]] LcsResult lcs_auto(const std::vector<MatchPair>& pairs);
 [[nodiscard]] LcsResult lcs_auto(const MatchPairsSoA& pairs);
 

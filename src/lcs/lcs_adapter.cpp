@@ -31,7 +31,9 @@ class LcsSolver final : public Solver {
     auto pairs = lcs::match_pairs_soa(p.a, p.b);
     auto r = lcs::lcs_auto(pairs);
     SolveResult out = pack(p, pairs.size(), r);
-    out.effective_depth = out.stats.rounds;  // rounds == LCS length (Thm 3.2)
+    // Thm 3.2: the effective depth is the LCS length on every path (the
+    // parallel path's rounds equal it).
+    out.effective_depth = r.length;
     return out;
   }
 
@@ -83,6 +85,7 @@ class LcsSolver final : public Solver {
     lcs::lcs_extend(next->frontier, *next->b_index, ap->a.data(),
                     ap->a.size(), out.stats);
     out.objective = next->frontier.length();
+    out.effective_depth = next->frontier.length();  // the LCS length (Thm 3.2)
     out.detail = detail_line(p, next->frontier.pairs_consumed,
                              next->frontier.length());
     out.path = core::SolvePath::kResumed;

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 
+#include "src/core/cutoff.hpp"
 #include "src/core/kernels.hpp"
 #include "src/core/trace.hpp"
 #include "src/parallel/primitives.hpp"
@@ -25,67 +27,90 @@ LisResult lis_naive(const std::vector<std::uint64_t>& a) {
   return res;
 }
 
-namespace {
-
-// One patience step: v replaces the first tail >= v (or extends the
-// longest chain past the end), and the slot it lands in is the length
-// of the longest strictly increasing chain ending at v, minus one.
-std::uint32_t patience_push(std::vector<std::uint64_t>& tails,
-                            std::uint64_t v) {
-  auto it = std::lower_bound(tails.begin(), tails.end(), v);
-  const auto slot = static_cast<std::uint32_t>(it - tails.begin());
-  if (it == tails.end())
-    tails.push_back(v);
-  else
-    *it = v;
-  return slot;
-}
-
-}  // namespace
-
-LisResult lis_sequential(const std::vector<std::uint64_t>& a) {
-  const std::size_t n = a.size();
+template <typename Key>
+LisResult keys_sequential(std::span<const Key> keys) {
   LisResult res;
-  res.dp.assign(n, 1);
-  std::vector<std::uint64_t> tails;
+  res.dp.assign(keys.size(), 0);
+  std::vector<Key> tails;
   core::PollTicker poll;
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t p = 0; p < keys.size(); ++p) {
     poll.tick();
-    res.dp[i] = patience_push(tails, a[i]) + 1;
+    res.dp[p] = patience_push(tails, keys[p]) + 1;
     ++res.stats.states;
-    ++res.stats.relaxations;  // exactly one effective transition per state
+    ++res.stats.relaxations;  // exactly one effective transition per key
   }
   res.length = static_cast<std::uint32_t>(tails.size());
   return res;
 }
 
-LisResult lis_parallel(const std::vector<std::uint64_t>& a) {
-  const std::size_t n = a.size();
+template <typename Key>
+LisResult keys_parallel(std::span<const Key> keys, const char* round_span) {
   LisResult res;
-  res.dp.assign(n, 0);
-  if (n == 0) return res;
+  res.dp.assign(keys.size(), 0);
+  if (keys.empty()) return res;
 
-  // Cordon rounds: the ready states of round r are the prefix-minimum
-  // elements among the still-active ones (Sec. 3) — no active j < i has
-  // a[j] < a[i].  All of them share tentative value r, so D never needs
-  // explicit relaxation (the "global tentative value" observation).
-  structures::TournamentTree tree(a);
+  // The ready keys of round r are the prefix minima among the still-active
+  // ones (Sec. 3): no active key before them is smaller.  All of them
+  // share tentative value r, so dp never needs explicit relaxation (the
+  // "global tentative value" observation).
+  structures::TournamentTree tree(keys);
   core::AtomicDpStats stats;
   std::vector<std::size_t> frontier;  // reused: zero-alloc steady state
+  // Round fusion: a cordon of few keys (relaxations == frontier size) is
+  // not worth forking the scatter for; run such rounds inline.  The
+  // previous round's frontier predicts the next one well enough here.
+  const std::size_t fuse_threshold = core::fuse_relax_threshold();
+  std::size_t prev_frontier = std::numeric_limits<std::size_t>::max();
   std::uint32_t round = 0;
   while (!tree.empty()) {
     ++round;
-    telemetry::RoundSpan round_span("lis.round", stats);
+    telemetry::RoundSpan span(round_span, stats);
     tree.extract_prefix_minima_into(frontier);
     stats.add_round();
     stats.add_states(frontier.size());
     stats.add_relaxations(frontier.size());
+    std::optional<parallel::SequentialRegion> fused;
+    if (core::fuse_round(prev_frontier, fuse_threshold)) fused.emplace();
     core::kernels::parallel_scatter_fill(res.dp.data(), frontier.data(),
                                          frontier.size(), round);
+    prev_frontier = frontier.size();
   }
   res.length = round;
   res.stats = stats.snapshot();
   return res;
+}
+
+template <typename Key>
+LisResult keys_auto(std::span<const Key> keys, const char* round_span) {
+  const std::size_t cutoff =
+      core::cutoff_from_env("CORDON_LIS_CUTOFF", core::kLisSeqCutoff);
+  const std::size_t min_workers =
+      core::cutoff_from_env("CORDON_LIS_MIN_WORKERS", core::kLisMinWorkers);
+  if (core::use_sequential(keys.size(), cutoff, min_workers)) {
+    LisResult r = keys_sequential(keys);
+    r.path = core::SolvePath::kSequentialCutoff;
+    return r;
+  }
+  return keys_parallel(keys, round_span);
+}
+
+template LisResult keys_sequential(std::span<const std::uint64_t>);
+template LisResult keys_sequential(std::span<const std::uint32_t>);
+template LisResult keys_parallel(std::span<const std::uint64_t>, const char*);
+template LisResult keys_parallel(std::span<const std::uint32_t>, const char*);
+template LisResult keys_auto(std::span<const std::uint64_t>, const char*);
+template LisResult keys_auto(std::span<const std::uint32_t>, const char*);
+
+LisResult lis_sequential(const std::vector<std::uint64_t>& a) {
+  return keys_sequential<std::uint64_t>(a);
+}
+
+LisResult lis_parallel(const std::vector<std::uint64_t>& a) {
+  return keys_parallel<std::uint64_t>(a, "lis.round");
+}
+
+LisResult lis_auto(const std::vector<std::uint64_t>& a) {
+  return keys_auto<std::uint64_t>(a, "lis.round");
 }
 
 std::vector<std::size_t> lis_witness(const std::vector<std::uint64_t>& a,

@@ -1,21 +1,29 @@
 // Longest Increasing Subsequence (Sec. 3, Thm 3.1).
 //
-// Three algorithms over one recurrence
+// Four entry points over one recurrence
 //   D[i] = max{1, max_{j<i, A[j]<A[i]} D[j] + 1}:
 //   * lis_naive       — the textbook O(n^2) evaluation (test oracle),
 //   * lis_sequential  — the optimized O(n log k) algorithm [65]: the
 //     patience frontier (smallest tail per chain length) binary-searched
-//     once per state — the same loop lis_extend runs for sessions,
+//     once per state — the same step lis_extend runs for sessions,
 //   * lis_parallel    — the Cordon Algorithm: each round extracts the
 //     prefix-minimum elements (the states whose tentative value cannot be
 //     improved) with a tournament tree; round r finalizes exactly the
 //     states with D = r.  Work O(n log k), span O(k log n); a perfect
-//     parallelization of the sequential algorithm.
+//     parallelization of the sequential algorithm,
+//   * lis_auto        — the production route between the last two.
+//
+// All but the oracle run the key-stream core declared below, which sparse
+// LCS (src/lcs/) shares: LCS over match pairs sorted by (i asc, j desc)
+// is LIS over their j stream (Sec. 3).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
+#include "src/core/audit.hpp"
 #include "src/core/dp_stats.hpp"
 
 namespace cordon::lis {
@@ -24,6 +32,7 @@ struct LisResult {
   std::vector<std::uint32_t> dp;  // D[i] = LIS length ending at i
   std::uint32_t length = 0;       // max D
   core::DpStats stats;
+  core::SolvePath path = core::SolvePath::kParallel;  // set by lis_auto
 };
 
 /// O(n^2) reference evaluation of the recurrence.
@@ -38,10 +47,61 @@ struct LisResult {
 /// stats.rounds == LIS length (the perfect depth of the DP DAG).
 [[nodiscard]] LisResult lis_parallel(const std::vector<std::uint64_t>& a);
 
+/// Production entry point: lis_sequential when effective parallelism is
+/// below core::kLisMinWorkers or n is under core::kLisSeqCutoff
+/// (overrides CORDON_LIS_MIN_WORKERS / CORDON_LIS_CUTOFF), lis_parallel
+/// otherwise.  The decision is recorded in LisResult::path; dp is the
+/// same either way.
+[[nodiscard]] LisResult lis_auto(const std::vector<std::uint64_t>& a);
+
 /// One longest strictly increasing subsequence (indices into `a`),
 /// reconstructed from per-state DP values in one backward scan.
 [[nodiscard]] std::vector<std::size_t> lis_witness(
     const std::vector<std::uint64_t>& a, const LisResult& res);
+
+// --- key-stream core (shared with sparse LCS) -------------------------------
+//
+// Key is std::uint64_t (LIS values) or std::uint32_t (the LCS j stream);
+// lis.cpp instantiates both.  dp[p] is the length of the longest strictly
+// increasing chain of keys ending at position p, and every path counts
+// one state and one relaxation per key.
+
+/// One patience step: `key` replaces the first tail >= key (or extends
+/// the longest chain past the end), and the slot it lands in is the
+/// length of the longest strictly increasing chain ending at it, minus
+/// one.  `tails` stays strictly increasing.
+template <typename Key>
+std::uint32_t patience_push(std::vector<Key>& tails, Key key) {
+  auto it = std::lower_bound(tails.begin(), tails.end(), key);
+  const auto slot = static_cast<std::uint32_t>(it - tails.begin());
+  if (it == tails.end())
+    tails.push_back(key);
+  else
+    *it = key;
+  // Only one slot changed, so its two neighbours certify sortedness.
+  CORDON_DCHECK(slot == 0 || tails[slot - 1] < tails[slot],
+                "patience tails lost sortedness (left)");
+  CORDON_DCHECK(slot + 1 >= tails.size() || tails[slot] < tails[slot + 1],
+                "patience tails lost sortedness (right)");
+  return slot;
+}
+
+/// The patience loop over the whole stream: O(n log k).
+template <typename Key>
+[[nodiscard]] LisResult keys_sequential(std::span<const Key> keys);
+
+/// Cordon rounds: a tournament tree extracts the prefix minima of the
+/// active keys, and round r finalizes exactly the keys with dp = r.
+/// Light rounds run inline (round fusion, core::fuse_relax_threshold).
+/// `round_span` names each round's trace span.
+template <typename Key>
+[[nodiscard]] LisResult keys_parallel(std::span<const Key> keys,
+                                      const char* round_span);
+
+/// The routing decision lis_auto and lcs_auto share.
+template <typename Key>
+[[nodiscard]] LisResult keys_auto(std::span<const Key> keys,
+                                  const char* round_span);
 
 // --- append-resumable frontier (solve sessions) -----------------------------
 

@@ -23,11 +23,13 @@ class LisSolver final : public Solver {
 
   [[nodiscard]] SolveResult solve(const Instance& inst) const override {
     const auto& p = inst.as<LisInstance>();
-    auto r = lis::lis_parallel(p.values);
+    auto r = lis::lis_auto(p.values);
     SolveResult out = pack(p, r);
-    // Thm 3.1: round r finalizes exactly the states with D = r, so the
-    // observed rounds equal the DAG's (perfect) effective depth.
-    out.effective_depth = out.stats.rounds;
+    out.path = r.path;
+    // Thm 3.1: the DAG's (perfect) effective depth is the LIS length, on
+    // every path; the parallel path's round r finalizes exactly the
+    // states with D = r, so there rounds equal it too.
+    out.effective_depth = r.length;
     return out;
   }
 
@@ -71,7 +73,7 @@ class LisSolver final : public Solver {
     lis::lis_extend(next->frontier, ap->values.data(), ap->values.size(),
                     out.stats);
     out.objective = next->frontier.length();
-    out.effective_depth = next->frontier.length();  // == cordon rounds (Thm 3.1)
+    out.effective_depth = next->frontier.length();  // the LIS length (Thm 3.1)
     out.detail = detail_line(p.values.size(), next->frontier.length());
     out.path = core::SolvePath::kResumed;
     return {std::move(out), std::move(next), true};

@@ -4,14 +4,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "src/core/cordon.hpp"
 #include "src/core/dp_dag.hpp"
 #include "src/core/monge.hpp"
+#include "src/engine/registry.hpp"
 #include "src/parallel/random.hpp"
 
 namespace cc = cordon::core;
+namespace ce = cordon::engine;
 namespace cp = cordon::parallel;
 
 namespace {
@@ -36,6 +39,42 @@ cc::DpDag random_dag(std::size_t n, std::uint64_t seed, double edge_prob) {
     }
   }
   return dag;
+}
+
+// Random affine DAG with everything the frontier body must get right:
+// either objective, doubled edges, boundaries on states with in-edges,
+// states no boundary reaches, and zero or negative weights.
+cc::DpDag random_affine_dag(std::size_t n, std::uint64_t seed) {
+  const auto obj = cp::uniform(seed, 0, 2) == 0 ? cc::Objective::kMin
+                                                : cc::Objective::kMax;
+  cc::DpDag dag(n, obj);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (i == 0 || cp::uniform(seed ^ 3, i, 8) == 0)
+      dag.set_boundary(i, static_cast<double>(cp::uniform(seed ^ 5, i, 9)));
+    const std::uint64_t in_degree = i == 0 ? 0 : cp::uniform(seed ^ 7, i, 4);
+    for (std::uint64_t c = 0; c < in_degree; ++c) {
+      auto src = static_cast<std::uint32_t>(cp::uniform(seed, i * 4 + c, i));
+      auto w = static_cast<double>(cp::uniform(seed ^ 9, i * 4 + c, 7)) - 2;
+      dag.add_affine_edge(src, i, w);
+      if (cp::uniform(seed ^ 11, i * 4 + c, 6) == 0)
+        dag.add_affine_edge(src, i, w + 1);
+    }
+  }
+  return dag;
+}
+
+// The frontier body must finalize the same states in the same rounds
+// with the same values as the literal pass, reading each edge at most
+// twice.
+void expect_affine_matches_generic(const cc::DpDag& dag,
+                                   const std::string& what) {
+  ASSERT_TRUE(dag.all_affine()) << what;
+  auto affine = cc::ExplicitCordon(dag).run_affine();
+  auto generic = cc::ExplicitCordon(dag).run_generic();
+  EXPECT_EQ(affine.values, generic.values) << what;
+  EXPECT_EQ(affine.rounds, generic.rounds) << what;
+  EXPECT_EQ(affine.round_of, generic.round_of) << what;
+  EXPECT_LE(affine.relaxations, 2 * dag.num_edges()) << what;
 }
 
 }  // namespace
@@ -70,7 +109,9 @@ TEST(DpDag, ParallelEdgesAndBoundaryWithInEdges) {
   auto generic = cc::ExplicitCordon(dag).run_generic();
   EXPECT_EQ(affine.values, want);
   EXPECT_EQ(generic.values, want);
-  EXPECT_EQ(affine.relaxations, generic.relaxations);
+  EXPECT_EQ(affine.rounds, generic.rounds);
+  EXPECT_EQ(affine.round_of, generic.round_of);
+  EXPECT_LE(affine.relaxations, 2 * dag.num_edges());
   // An edge added after a read must show up in the next one.
   dag.add_affine_edge(0, 3, 0.5);
   EXPECT_DOUBLE_EQ(dag.evaluate()[3], 0.5);
@@ -140,6 +181,53 @@ TEST(ExplicitCordon, IndependentStatesFinishInOneRound) {
   // Round 1 scans all n-1 edges in both passes; round 2 only in the
   // sentinel pass, which finalizes everything.
   EXPECT_EQ(got.relaxations, 3 * (n - 1));
+}
+
+TEST(ExplicitCordon, AffineChainPinsFrontierWork) {
+  // Round r finalizes state r-1; its one out-edge closes state r, whose
+  // sentinel test (1 in-edge) fails, and then carries the push: 2E.
+  const std::size_t n = 12;
+  cc::DpDag dag(n, cc::Objective::kMin);
+  dag.set_boundary(0, 0.0);
+  for (std::uint32_t i = 1; i < n; ++i) dag.add_affine_edge(i - 1, i, 1.0);
+  auto got = cc::ExplicitCordon(dag).run_affine();
+  EXPECT_EQ(got.rounds, n);
+  for (std::uint32_t i = 0; i < n; ++i) EXPECT_EQ(got.round_of[i], i + 1);
+  EXPECT_EQ(got.relaxations, 2 * (n - 1));  // 22, where run_generic reads 143
+  EXPECT_EQ(got.values.back(), static_cast<double>(n - 1));
+}
+
+TEST(ExplicitCordon, AffineStarPinsFrontierWork) {
+  // Round 1 tests every leaf once (each is a sentinel of state 0) and
+  // pushes to it once; round 2 finalizes all leaves and reads nothing.
+  const std::size_t n = 20;
+  cc::DpDag dag(n, cc::Objective::kMin);
+  dag.set_boundary(0, 0.0);
+  for (std::uint32_t i = 1; i < n; ++i) dag.add_affine_edge(0, i, 1.0);
+  auto got = cc::ExplicitCordon(dag).run_affine();
+  EXPECT_EQ(got.rounds, 2u);
+  EXPECT_EQ(got.relaxations, 2 * (n - 1));  // 38, where run_generic reads 57
+}
+
+TEST(ExplicitCordon, AffineFrontierMatchesGenericOnRandomDags) {
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    const std::size_t n = 1 + cp::uniform(seed, 99, 60);
+    expect_affine_matches_generic(random_affine_dag(n, seed),
+                                  "seed " + std::to_string(seed));
+  }
+}
+
+TEST(ExplicitCordon, AffineFrontierMatchesGenericOnGeneratedDags) {
+  // The dag family's own instances, up to its service-mix size.
+  const ce::Solver& solver = ce::builtin_registry().at("dag");
+  for (std::uint64_t n : {2, 17, 120, 500}) {
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+      ce::Instance inst = solver.generate({n, 0, seed});
+      expect_affine_matches_generic(
+          inst.as<ce::DagInstance>().build(),
+          "n " + std::to_string(n) + " seed " + std::to_string(seed));
+    }
+  }
 }
 
 TEST(ExplicitCordon, PerStateRoundsWithinDepthBounds) {

@@ -125,16 +125,33 @@ INSTANTIATE_TEST_SUITE_P(
 // --- per-family semantics through the uniform interface ---------------------
 
 TEST(Engine, DepthReportersAreConsistent) {
-  // Families with perfect parallelizations certify effective depth ==
-  // rounds; the dag solver computes d^(G) exactly and rounds can only be
-  // bounded by it from below... (rounds <= depth for successful-relaxation
-  // sentinels, and >= 1).
+  // lis and lcs certify their effective depth as the subsequence length
+  // (Thms 3.1/3.2) on either route, and their parallel path runs exactly
+  // that many rounds; kglws's rounds are its depth.  The dag solver
+  // computes d^(G) exactly and rounds can only be bounded by it from
+  // below... (rounds <= depth for successful-relaxation sentinels, and
+  // >= 1).
   const auto& reg = ce::builtin_registry();
-  for (const std::string& kind : {"lis", "lcs", "kglws"}) {
+  for (const char* kind : {"lis", "lcs"}) {
     ce::Instance inst = reg.at(kind).generate({120, 6, 9});
-    ce::SolveResult r = reg.at(kind).solve(inst);
-    EXPECT_EQ(r.effective_depth, r.stats.rounds) << kind;
+    for (bool parallel : {false, true}) {
+      cordon::testing::ScopedEnv cutoff{"CORDON_LIS_CUTOFF",
+                                        parallel ? "0" : "1000000000"};
+      cordon::testing::ScopedEnv floor{"CORDON_LIS_MIN_WORKERS", "1"};
+      ce::SolveResult r = reg.at(kind).solve(inst);
+      ASSERT_EQ(r.path, parallel ? cordon::core::SolvePath::kParallel
+                                 : cordon::core::SolvePath::kSequentialCutoff)
+          << kind;
+      EXPECT_GE(r.effective_depth, 1u) << kind;
+      EXPECT_EQ(static_cast<double>(r.effective_depth), r.objective) << kind;
+      if (r.path == cordon::core::SolvePath::kParallel) {
+        EXPECT_EQ(r.stats.rounds, r.effective_depth) << kind;
+      }
+    }
   }
+  ce::Instance kglws = reg.at("kglws").generate({120, 6, 9});
+  ce::SolveResult k = reg.at("kglws").solve(kglws);
+  EXPECT_EQ(k.effective_depth, k.stats.rounds);
   ce::Instance dag = reg.at("dag").generate({120, 6, 9});
   ce::SolveResult r = reg.at("dag").solve(dag);
   EXPECT_GE(r.effective_depth, 1u);

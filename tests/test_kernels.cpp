@@ -100,37 +100,6 @@ TEST(KernelOracle, ArgminAddStrided) {
   }
 }
 
-TEST(KernelOracle, GatherAddMinMaxWithMask) {
-  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
-    std::size_t states = 2 + parallel::uniform(seed, 0, 100);
-    std::size_t edges = parallel::uniform(seed, 1, 400);
-    auto values = random_doubles(states, seed, /*inf_fraction=*/0.1);
-    auto w = random_doubles(edges, seed ^ 0xabcd);
-    std::vector<std::uint32_t> src(edges);
-    std::vector<std::uint8_t> mask(states);
-    for (std::size_t e = 0; e < edges; ++e)
-      src[e] = static_cast<std::uint32_t>(parallel::uniform(seed, e, states));
-    for (std::size_t s = 0; s < states; ++s)
-      mask[s] = parallel::uniform(seed ^ 0x99u, s, 2) != 0;
-
-    EXPECT_EQ(kernels::min_gather_add(values.data(), src.data(), w.data(),
-                                      mask.data(), edges),
-              kernels::scalar::min_gather_add(values.data(), src.data(),
-                                              w.data(), mask.data(), edges));
-    EXPECT_EQ(kernels::max_gather_add(values.data(), src.data(), w.data(),
-                                      mask.data(), edges),
-              kernels::scalar::max_gather_add(values.data(), src.data(),
-                                              w.data(), mask.data(), edges));
-    EXPECT_EQ(kernels::min_gather_add(values.data(), src.data(), w.data(),
-                                      nullptr, edges),
-              kernels::scalar::min_gather_add(values.data(), src.data(),
-                                              w.data(), nullptr, edges));
-    EXPECT_EQ(kernels::mask_gather_any(mask.data(), src.data(), edges),
-              kernels::scalar::mask_gather_any(mask.data(), src.data(),
-                                               edges));
-  }
-}
-
 TEST(KernelOracle, Scatter) {
   std::size_t n = 777;
   std::vector<std::size_t> idx;
@@ -188,7 +157,9 @@ TEST(FamilyOracle, ExplicitCordonAffinePathMatchesGenericExactly) {
     auto generic = cordon.run_generic();
     ASSERT_EQ(affine.values.size(), generic.values.size());
     EXPECT_EQ(affine.rounds, generic.rounds) << "seed " << seed;
-    EXPECT_EQ(affine.relaxations, generic.relaxations) << "seed " << seed;
+    // The frontier body reads each edge at most twice; the literal pass
+    // rescans unfinalized in-edges every round, so the counts differ.
+    EXPECT_LE(affine.relaxations, 2 * dag.num_edges()) << "seed " << seed;
     for (std::size_t i = 0; i < affine.values.size(); ++i) {
       // Same additions in a different evaluation order can differ by
       // one rounding step; the min/max reductions themselves are exact.

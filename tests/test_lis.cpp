@@ -89,6 +89,24 @@ TEST(Lis, WitnessIsAValidIncreasingSubsequence) {
   }
 }
 
+TEST(Lis, AutoRecordsItsRouteAndKeepsDp) {
+  auto a = cordon::testing::random_values(6000, 12, 3000);
+  auto sv = lis_sequential(a);
+  for (bool parallel : {false, true}) {
+    cordon::testing::ScopedEnv cutoff{"CORDON_LIS_CUTOFF",
+                                      parallel ? "0" : "1000000000"};
+    cordon::testing::ScopedEnv floor{"CORDON_LIS_MIN_WORKERS", "1"};
+    auto got = cordon::lis::lis_auto(a);
+    EXPECT_EQ(got.path, parallel ? cordon::core::SolvePath::kParallel
+                                 : cordon::core::SolvePath::kSequentialCutoff);
+    EXPECT_EQ(got.dp, sv.dp);
+    EXPECT_EQ(got.length, sv.length);
+    EXPECT_EQ(got.stats.states, a.size());
+    EXPECT_EQ(got.stats.relaxations, a.size());
+    EXPECT_EQ(got.stats.rounds, parallel ? sv.length : 0u);
+  }
+}
+
 TEST(Lis, SequentialWorkIsOnePerState) {
   auto a = cordon::testing::random_values(2000, 11, 100000);
   auto sv = lis_sequential(a);

@@ -16,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <string>
@@ -30,11 +29,13 @@
 #include "src/glws/glws.hpp"
 #include "src/parallel/random.hpp"
 #include "src/parallel/scheduler.hpp"
+#include "test_util.hpp"
 
 namespace cp = cordon::parallel;
 namespace core = cordon::core;
 namespace engine = cordon::engine;
 namespace telemetry = cordon::telemetry;
+using cordon::testing::ScopedEnv;
 
 namespace {
 
@@ -48,42 +49,17 @@ void restart_pool(std::size_t workers) {
   ASSERT_EQ(cp::num_workers(), workers);
 }
 
-// setenv with restore-on-destruction, so a failing assertion can't leak
-// a routing override into later tests.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) {
-      had_ = true;
-      old_ = old;
-    }
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() {
-    if (had_)
-      ::setenv(name_.c_str(), old_.c_str(), 1);
-    else
-      ::unsetenv(name_.c_str());
-  }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  std::string name_;
-  std::string old_;
-  bool had_ = false;
-};
-
 // Forces the parallel algorithm regardless of pool size or instance
 // size, so the sweep exercises the real parallel code paths even where
 // production routing would (correctly) choose the sequential algorithm.
+// The CORDON_LIS_* pair routes both lis and lcs.
 struct ForceParallel {
   ScopedEnv glws_c{"CORDON_GLWS_CUTOFF", "0"};
-  ScopedEnv lcs_c{"CORDON_LCS_CUTOFF", "0"};
+  ScopedEnv lis_c{"CORDON_LIS_CUTOFF", "0"};
   ScopedEnv gap_c{"CORDON_GAP_CUTOFF", "0"};
   ScopedEnv tree_c{"CORDON_TREEGLWS_CUTOFF", "0"};
   ScopedEnv glws_w{"CORDON_GLWS_MIN_WORKERS", "1"};
-  ScopedEnv lcs_w{"CORDON_LCS_MIN_WORKERS", "1"};
+  ScopedEnv lis_w{"CORDON_LIS_MIN_WORKERS", "1"};
   ScopedEnv gap_w{"CORDON_GAP_MIN_WORKERS", "1"};
   ScopedEnv tree_w{"CORDON_TREEGLWS_MIN_WORKERS", "1"};
 };
@@ -153,16 +129,16 @@ TEST(ThreadSweep, RepeatedParallelSolvesAreDeterministic) {
 TEST(ThreadSweep, CutoffRoutesByInstanceSizeWithIdenticalAnswers) {
   restart_pool(8);
   const auto& reg = engine::builtin_registry();
-  // The four families with an adaptive size cutoff; lis/oat/obst/kglws/
-  // dag have no *_auto routing.
-  for (const char* key : {"glws", "lcs", "gap", "treeglws"}) {
+  // The five families with an adaptive size cutoff; oat/obst/kglws/dag
+  // have no *_auto routing.
+  for (const char* key : {"glws", "lis", "lcs", "gap", "treeglws"}) {
     const engine::Solver& solver = reg.at(key);
     engine::Instance inst = solver.generate({300, 5, 11});
     engine::SolveResult seq_routed, par_routed;
     {
       // Huge threshold: every instance is "small", sequential path.
       ScopedEnv glws{"CORDON_GLWS_CUTOFF", "1000000000"};
-      ScopedEnv lcs{"CORDON_LCS_CUTOFF", "1000000000"};
+      ScopedEnv lis{"CORDON_LIS_CUTOFF", "1000000000"};
       ScopedEnv gap{"CORDON_GAP_CUTOFF", "1000000000"};
       ScopedEnv tree{"CORDON_TREEGLWS_CUTOFF", "1000000000"};
       auto base = telemetry::snapshot();
@@ -250,7 +226,7 @@ TEST(ThreadSweep, RoundFusionDoesNotChangeAnswers) {
   }
 
   const auto& reg = engine::builtin_registry();
-  for (const char* key : {"lcs", "gap"}) {
+  for (const char* key : {"lis", "lcs", "gap"}) {
     const engine::Solver& solver = reg.at(key);
     engine::Instance inst = solver.generate({400, 7, 31});
     engine::SolveResult fused, unfused;
