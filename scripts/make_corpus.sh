@@ -7,10 +7,10 @@
 #   * generated — one canonical instance plus delta/pair seeds per
 #     registered family, emitted by tools/corpus_gen.cpp so the corpus
 #     tracks the wire format automatically;
-#   * hostile — hand-written inputs pinning parser rejection paths
-#     (bad magic, over-cap declarations, truncation, version and kind
-#     mismatches, repricing deltas), written here so a regeneration
-#     never loses them.
+#   * hostile — hand-written inputs pinning parser and solve rejection
+#     paths (bad magic, over-cap declarations, truncation, version and
+#     kind mismatches, malformed trees, a negative cost scale, repricing
+#     deltas), written here so a regeneration never loses them.
 #
 # The corpus is deliberately tiny: seeds exist to reach parser states,
 # and the crash-regression ctest entries replay every file on every
@@ -66,6 +66,11 @@ printf 'cordon-instance v1 treeglws\nparent 1 0 0\nd0 0\ncost affine 1 1\nend\n'
   > "$OUT/instance/hostile_tree_cycle.inst"
 printf 'cordon-instance v1 treeglws\nparent 4294967295 4294967295 0\nd0 0\ncost affine 1 1\nend\n' \
   > "$OUT/instance/hostile_tree_two_roots.inst"
+
+# A negative cost scale parses but flips the Monge shape the solvers are
+# told about: turning the CostSpec into a cost must reject it.
+printf 'cordon-instance v1 glws\nn 200\nd0 0\ncost logarithmic 5 -3\nend\n' \
+  > "$OUT/instance/hostile_negative_scale.inst"
 
 # --- hostile delta seeds -----------------------------------------------------
 

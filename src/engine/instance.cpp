@@ -18,22 +18,19 @@ glws::Shape CostSpec::shape() const {
                                         : glws::Shape::kConvex;
 }
 
-glws::CostFn CostSpec::make() const {
-  double o = open, s = scale;
+glws::SpanCost CostSpec::make() const {
+  if (!std::isfinite(open) || !std::isfinite(scale) || scale < 0)
+    throw std::invalid_argument(
+        std::string("cost ") + family_name(family) + ": open must be finite "
+        "and scale finite and >= 0 (got open " + std::to_string(open) +
+        ", scale " + std::to_string(scale) + ")");
   switch (family) {
     case Family::kAffine:
-      return [o, s](std::size_t l, std::size_t r) {
-        return o + s * static_cast<double>(r - l);
-      };
+      return {glws::SpanCost::Kind::kLinear, open, scale};
     case Family::kQuadratic:
-      return [o, s](std::size_t l, std::size_t r) {
-        double len = static_cast<double>(r - l);
-        return o + s * len * len;
-      };
+      return {glws::SpanCost::Kind::kQuadratic, open, scale};
     case Family::kLogarithmic:
-      return [o, s](std::size_t l, std::size_t r) {
-        return o + s * std::log1p(static_cast<double>(r - l));
-      };
+      return {glws::SpanCost::Kind::kLog1p, open, scale};
   }
   throw std::logic_error("CostSpec: unknown family");
 }

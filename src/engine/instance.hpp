@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "src/core/dp_dag.hpp"
-#include "src/glws/glws.hpp"  // CostFn, Shape
+#include "src/glws/glws.hpp"  // CostFn, Shape, SpanCost
 
 namespace cordon::engine {
 
@@ -37,7 +37,11 @@ struct CostSpec {
   double scale = 1.0;  // multiplies the span term
 
   [[nodiscard]] glws::Shape shape() const;
-  [[nodiscard]] glws::CostFn make() const;
+  /// The cost every solve runs.  Throws std::invalid_argument unless
+  /// `open` is finite and `scale` finite and >= 0: a negative scale
+  /// flips the Monge shape against the one shape() reports, and the
+  /// solvers would return wrong optima.
+  [[nodiscard]] glws::SpanCost make() const;
 
   [[nodiscard]] static const char* family_name(Family f);
   [[nodiscard]] static Family family_from_name(const std::string& name);

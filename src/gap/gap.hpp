@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "src/core/dp_stats.hpp"
-#include "src/glws/glws.hpp"  // CostFn, Shape
+#include "src/glws/glws.hpp"  // CostFn, Shape, SpanCost
 
 namespace cordon::gap {
 
@@ -71,25 +71,21 @@ struct GapResult {
                                  const glws::CostFn& w2, glws::Shape shape);
 
 /// Affine gap cost builder: open + extend * length, convex Monge.
-[[nodiscard]] inline glws::CostFn affine_gap_cost(double open,
-                                                  double extend) {
-  return [open, extend](std::size_t l, std::size_t r) {
-    return open + extend * static_cast<double>(r - l);
-  };
+[[nodiscard]] inline glws::SpanCost affine_gap_cost(double open,
+                                                    double extend) {
+  return {glws::SpanCost::Kind::kLinear, open, extend};
 }
 
-/// Strictly convex gap cost: open + sqrt-free quadratic-growth penalty
-/// dampened to stay subadditive-friendly; used to exercise non-linear
-/// costs in tests.
-[[nodiscard]] inline glws::CostFn quadratic_gap_cost(double open,
-                                                     double scale) {
-  return [open, scale](std::size_t l, std::size_t r) {
-    double len = static_cast<double>(r - l);
-    return open + scale * len * len;
-  };
+/// Strictly convex gap cost: open + scale * length^2; used to exercise
+/// non-linear costs in tests.
+[[nodiscard]] inline glws::SpanCost quadratic_gap_cost(double open,
+                                                       double scale) {
+  return {glws::SpanCost::Kind::kQuadratic, open, scale};
 }
 
 /// Concave gap cost: logarithmic growth (classic in bioinformatics).
-[[nodiscard]] glws::CostFn log_gap_cost(double open, double scale);
+[[nodiscard]] inline glws::SpanCost log_gap_cost(double open, double scale) {
+  return {glws::SpanCost::Kind::kLog1p, open, scale};
+}
 
 }  // namespace cordon::gap

@@ -1,4 +1,3 @@
-#include <cmath>
 #include <limits>
 #include <memory>
 
@@ -10,12 +9,6 @@ namespace cordon::gap {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
-}
-
-glws::CostFn log_gap_cost(double open, double scale) {
-  return [open, scale](std::size_t l, std::size_t r) {
-    return open + scale * std::log1p(static_cast<double>(r - l));
-  };
 }
 
 GapResult gap_naive(const std::vector<std::uint32_t>& a,
@@ -54,9 +47,12 @@ GapResult gap_naive(const std::vector<std::uint32_t>& a,
   return res;
 }
 
-GapResult gap_seq(const std::vector<std::uint32_t>& a,
-                  const std::vector<std::uint32_t>& b, const glws::CostFn& w1,
-                  const glws::CostFn& w2, glws::Shape shape) {
+namespace {
+
+template <typename Cost1, typename Cost2>
+GapResult seq_body(const std::vector<std::uint32_t>& a,
+                   const std::vector<std::uint32_t>& b, const Cost1& w1,
+                   const Cost2& w2, glws::Shape shape) {
   const std::size_t n = a.size(), m = b.size();
   GapResult res;
   res.rows = n + 1;
@@ -76,7 +72,7 @@ GapResult gap_seq(const std::vector<std::uint32_t>& a,
   // every candidate before any state that needs it.
   struct ColEval {
     const GapResult* res;
-    const glws::CostFn* w1;
+    const Cost1* w1;
     std::size_t j;
     core::DpStats* stats;
     double operator()(std::size_t ip, std::size_t i) const {
@@ -86,7 +82,7 @@ GapResult gap_seq(const std::vector<std::uint32_t>& a,
   };
   struct RowEval {
     const GapResult* res;
-    const glws::CostFn* w2;
+    const Cost2* w2;
     std::size_t i;
     core::DpStats* stats;
     double operator()(std::size_t jp, std::size_t j) const {
@@ -140,6 +136,17 @@ GapResult gap_seq(const std::vector<std::uint32_t>& a,
   res.distance = res.at(n, m);
   res.stats = stats;
   return res;
+}
+
+}  // namespace
+
+GapResult gap_seq(const std::vector<std::uint32_t>& a,
+                  const std::vector<std::uint32_t>& b, const glws::CostFn& w1,
+                  const glws::CostFn& w2, glws::Shape shape) {
+  return glws::with_cost(w1, [&](const auto& c1) {
+    return glws::with_cost(
+        w2, [&](const auto& c2) { return seq_body(a, b, c1, c2, shape); });
+  });
 }
 
 }  // namespace cordon::gap

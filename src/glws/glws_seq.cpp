@@ -31,7 +31,10 @@ GlwsResult glws_naive(std::size_t n, double d0, const CostFn& w,
   return res;
 }
 
-GlwsResult glws_sequential(std::size_t n, double d0, const CostFn& w,
+namespace {
+
+template <typename Cost>
+GlwsResult sequential_body(std::size_t n, double d0, const Cost& w,
                            const EFn& e, Shape shape) {
   GlwsResult res;
   res.d.assign(n + 1, 0.0);
@@ -70,6 +73,15 @@ GlwsResult glws_sequential(std::size_t n, double d0, const CostFn& w,
   }
   res.stats = stats;
   return res;
+}
+
+}  // namespace
+
+GlwsResult glws_sequential(std::size_t n, double d0, const CostFn& w,
+                           const EFn& e, Shape shape) {
+  return with_cost(w, [&](const auto& cost) {
+    return sequential_body(n, d0, cost, e, shape);
+  });
 }
 
 }  // namespace cordon::glws

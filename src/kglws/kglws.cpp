@@ -19,17 +19,19 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // prev[j] + w(j, i) and arg[i], for i in [il, ir] with decisions
 // restricted to [jl, jr].  Total monotonicity shrinks the two recursive
 // decision ranges to the midpoint's argmin (leftmost on ties).
+template <typename Cost>
 void layer_rec(std::span<const double> prev, std::span<double> cur,
-               std::span<std::uint32_t> arg, const glws::CostFn& w,
-               std::size_t il, std::size_t ir, std::size_t jl, std::size_t jr,
+               std::span<std::uint32_t> arg, const Cost& w, std::size_t il,
+               std::size_t ir, std::size_t jl, std::size_t jr,
                core::AtomicDpStats& stats) {
   if (il > ir) return;
   std::size_t im = il + (ir - il) / 2;
   std::size_t hi = std::min(jr, im - 1);  // decisions must satisfy j < i
   // Leftmost argmin with the infinite-source skip kept as a branch: the
-  // early layers are mostly infinite and the type-erased w(j, im) call
-  // is the expensive part, so skipping it beats a branchless evaluate-
-  // everything kernel here (the array kernels assume cheap loads).
+  // early layers are mostly infinite, and skipping their w(j, im) calls
+  // (a log1p, or a type-erased call for a custom CostFn) beats a
+  // branchless evaluate-everything kernel here (the array kernels assume
+  // cheap loads).
   core::kernels::ArgMin best{kInf, jl};
   for (std::size_t j = jl; j <= hi; ++j) {
     if (prev[j] == kInf) continue;
@@ -135,16 +137,18 @@ KglwsResult kglws_smawk(std::size_t n, std::size_t k, const glws::CostFn& w) {
 }
 
 KglwsResult kglws_dc(std::size_t n, std::size_t k, const glws::CostFn& w) {
-  return run_layers(
-      n, k,
-      [&](std::span<const double> prev, std::span<double> cur,
-          std::span<std::uint32_t> arg, core::DpStats& stats) {
-        core::AtomicDpStats local;
-        layer_rec(prev, cur, arg, w, 1, n, 0, n - 1, local);
-        core::DpStats snap = local.snapshot();
-        stats.states += snap.states;
-        stats.relaxations += snap.relaxations;
-      });
+  return glws::with_cost(w, [&](const auto& cost) {
+    return run_layers(
+        n, k,
+        [&](std::span<const double> prev, std::span<double> cur,
+            std::span<std::uint32_t> arg, core::DpStats& stats) {
+          core::AtomicDpStats local;
+          layer_rec(prev, cur, arg, cost, 1, n, 0, n - 1, local);
+          core::DpStats snap = local.snapshot();
+          stats.states += snap.states;
+          stats.relaxations += snap.relaxations;
+        });
+  });
 }
 
 std::vector<std::uint32_t> kglws_backtrack(std::size_t n, std::size_t k,

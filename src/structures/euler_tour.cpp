@@ -1,5 +1,6 @@
 #include "src/structures/tree_utils.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -25,25 +26,27 @@ RootedTree::RootedTree(std::vector<std::uint32_t> parent_array)
   }
   if (root == kNoNode) throw std::invalid_argument("tree: no root");
   // Every node must reach the root through its parents.  Walk up from
-  // each node until a node already known to reach it; meeting a node of
-  // the current walk again means the walk entered a cycle.  Each node
-  // joins one walk, so this is O(n) — and a single step per node when
-  // parents precede their children, as generated trees have them.
-  enum : std::uint8_t { kUnknown, kOnWalk, kReachesRoot };
-  std::vector<std::uint8_t> state(n, kUnknown);
-  state[root] = kReachesRoot;
+  // each node until a node whose depth is known; meeting a node of the
+  // current walk again means the walk entered a cycle.  The walk then
+  // hands out depths top-down.  Each node joins one walk, so this is
+  // O(n) — and a single step per node when parents precede their
+  // children, as generated trees have them.
+  constexpr std::uint32_t kUnknown = kNoNode, kOnWalk = kNoNode - 1;
+  depth.assign(n, kUnknown);
+  depth[root] = 0;
   std::vector<std::uint32_t> walk;
   for (std::uint32_t v = 0; v < n; ++v) {
     std::uint32_t u = v;
-    for (; state[u] == kUnknown; u = parent[u]) {
-      state[u] = kOnWalk;
+    for (; depth[u] == kUnknown; u = parent[u]) {
+      depth[u] = kOnWalk;
       walk.push_back(u);
     }
-    if (state[u] == kOnWalk)
+    if (depth[u] == kOnWalk)
       throw std::invalid_argument("tree: node " + std::to_string(u) +
                                   " lies on a parent cycle");
-    for (std::uint32_t w : walk) state[w] = kReachesRoot;
-    walk.clear();
+    for (std::uint32_t d = depth[u]; !walk.empty(); walk.pop_back())
+      depth[walk.back()] = ++d;
+    height = std::max(height, depth[v]);
   }
   children = core::build_csr(n, n, [&](std::size_t v) { return parent[v]; });
 }
@@ -53,7 +56,6 @@ EulerTour build_euler_tour(const RootedTree& tree) {
   EulerTour et;
   et.tin.assign(n, 0);
   et.tout.assign(n, 0);
-  et.depth.assign(n, 0);
   et.order.reserve(n);
 
   // Iterative preorder DFS; children pushed in reverse so they pop in
@@ -65,7 +67,6 @@ EulerTour build_euler_tour(const RootedTree& tree) {
     stack.pop_back();
     et.tin[v] = static_cast<std::uint32_t>(et.order.size());
     et.order.push_back(v);
-    if (tree.parent[v] != kNoNode) et.depth[v] = et.depth[tree.parent[v]] + 1;
     const auto ch = tree.children[v];
     for (std::size_t k = ch.size(); k > 0; --k) stack.push_back(ch[k - 1]);
   }

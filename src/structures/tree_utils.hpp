@@ -1,5 +1,5 @@
 // Rooted-tree utilities shared by Tree-GLWS and the tree data structures:
-// adjacency from a parent array, Euler tour, depths, subtree sizes.
+// adjacency and depths from a parent array, Euler tour, subtree sizes.
 #pragma once
 
 #include <cstdint>
@@ -13,10 +13,13 @@ inline constexpr std::uint32_t kNoNode = core::kNoRow;  // 0xffffffff
 
 /// A rooted tree given by a parent array (parent[root] == kNoNode).
 /// children[v] is a span of v's children in node-index order, stored as
-/// one CSR over the whole tree.
+/// one CSR over the whole tree.  depth[v] counts the edges from the root
+/// to v; height is the largest depth (0 for a lone root).
 struct RootedTree {
   std::vector<std::uint32_t> parent;
   core::Csr children;
+  std::vector<std::uint32_t> depth;
+  std::uint32_t height = 0;
   std::uint32_t root = kNoNode;
 
   /// Throws std::invalid_argument unless the array is one tree: every
@@ -28,11 +31,10 @@ struct RootedTree {
 };
 
 /// Preorder traversal data: entry/exit times (subtree of v = [tin[v],
-/// tout[v])), depth of each node, and the preorder sequence itself.
+/// tout[v])) and the preorder sequence itself.
 struct EulerTour {
   std::vector<std::uint32_t> tin;
   std::vector<std::uint32_t> tout;
-  std::vector<std::uint32_t> depth;
   std::vector<std::uint32_t> order;  // order[t] = node at preorder time t
 };
 

@@ -71,13 +71,13 @@ TreeGlwsResult tree_glws_parallel(const RootedTree& t, double d0,
   }
 
   structures::EulerTour et = build_euler_tour(t);
-  std::size_t max_depth = 0;
-  for (std::uint32_t d : et.depth) max_depth = std::max<std::size_t>(max_depth, d);
+  const std::vector<std::uint32_t>& depth = t.depth;
+  const std::size_t max_depth = t.height;
 
   // Substrates: subtree+depth window extraction, path-min blocking.
   std::vector<RangeTree2D::Point> pts(n);
   for (std::uint32_t v = 0; v < n; ++v)
-    pts[v] = {et.tin[v], et.depth[v], v};
+    pts[v] = {et.tin[v], depth[v], v};
   RangeTree2D window(std::move(pts));
   HeavyLightDecomposition hld(t);
   SegmentTree<std::size_t, MinOp> sentinel_seg(n, kUnset, MinOp{});
@@ -92,7 +92,7 @@ TreeGlwsResult tree_glws_parallel(const RootedTree& t, double d0,
   core::AtomicDpStats stats;
   auto eval = [&](std::uint32_t u, std::size_t dep) {
     stats.add_relaxations(1);
-    return ev[u] + w(et.depth[u], dep);
+    return ev[u] + w(depth[u], dep);
   };
 
   // Persistent envelopes: env[v] = best-decision treap of the path from
@@ -107,7 +107,7 @@ TreeGlwsResult tree_glws_parallel(const RootedTree& t, double d0,
   // envelope (split / truncate straddler / append).
   auto insert_candidate = [&](PersistentIntervalTreap::Ref base,
                               std::uint32_t u) {
-    std::size_t lo = et.depth[u] + 1;
+    std::size_t lo = depth[u] + 1;
     if (lo > max_depth) return base;
     // First depth >= lo where u beats the envelope.  Convexity: the win
     // set is a suffix of depths, so triple-level find_first plus an
@@ -180,7 +180,7 @@ TreeGlwsResult tree_glws_parallel(const RootedTree& t, double d0,
     for (std::size_t tstep = 1; !active.empty(); ++tstep) {
       still.clear();
       for (std::uint32_t r : active) {
-        std::uint32_t base_depth = et.depth[r];
+        std::uint32_t base_depth = depth[r];
         std::size_t dlo = base_depth + (std::size_t{1} << (tstep - 1)) - 1;
         std::size_t dhi = base_depth + (std::size_t{1} << tstep) - 2;
         dhi = std::min(dhi, max_depth);
@@ -197,7 +197,7 @@ TreeGlwsResult tree_glws_parallel(const RootedTree& t, double d0,
         parallel::parallel_for(0, batch.size(), [&](std::size_t k) {
           std::uint32_t v = batch[k];
           stats.add_states(1);
-          std::size_t dep = et.depth[v];
+          std::size_t dep = depth[v];
           const DecisionInterval* iv = pool.find(base, dep);
           std::uint32_t u = static_cast<std::uint32_t>(iv->j);
           res.d[v] = eval(u, dep);
@@ -268,7 +268,7 @@ TreeGlwsResult tree_glws_parallel(const RootedTree& t, double d0,
           min_s = std::min(min_s, sentinel_seg.query(lo, hi));
         });
       }
-      ready[v] = min_s > et.depth[v] ? 1 : 0;
+      ready[v] = min_s > depth[v] ? 1 : 0;
     });
     for (std::uint32_t v : probed)
       if (sentinel[v] != kUnset) sentinel_seg.set(hld.pos(v), kUnset);
@@ -283,7 +283,7 @@ TreeGlwsResult tree_glws_parallel(const RootedTree& t, double d0,
       if (ready[v]) order.push_back(v);  // lint: allow-alloc (within reserved capacity)
     std::sort(order.begin(), order.end(),
               [&](std::uint32_t a, std::uint32_t b) {
-                return et.depth[a] < et.depth[b];
+                return depth[a] < depth[b];
               });
     for (std::uint32_t v : order)
       env[v] = insert_candidate(env[t.parent[v]], v);

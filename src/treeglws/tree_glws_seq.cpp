@@ -17,7 +17,7 @@ TreeGlwsResult tree_glws_naive(const RootedTree& t, double d0,
   res.d.assign(n, std::numeric_limits<double>::infinity());
   res.best.assign(n, t.root);
   std::vector<double> ev(n, 0.0);
-  std::vector<std::uint32_t> depth(n, 0);
+  const std::vector<std::uint32_t>& depth = t.depth;
   res.d[t.root] = d0;
   ev[t.root] = e(d0, t.root);
 
@@ -27,7 +27,6 @@ TreeGlwsResult tree_glws_naive(const RootedTree& t, double d0,
     std::uint32_t v = stack.back();
     stack.pop_back();
     if (v != t.root) {
-      depth[v] = depth[t.parent[v]] + 1;
       double best = std::numeric_limits<double>::infinity();
       std::uint32_t best_u = t.parent[v];
       for (std::uint32_t u = t.parent[v];; u = t.parent[u]) {
@@ -62,22 +61,21 @@ struct Undo {
   bool pushed = false;   // was a new interval appended?
 };
 
-}  // namespace
-
-TreeGlwsResult tree_glws_sequential(const RootedTree& t, double d0,
-                                    const glws::CostFn& w,
-                                    const glws::EFn& e) {
+template <typename Cost>
+TreeGlwsResult sequential_body(const RootedTree& t, double d0, const Cost& w,
+                               const glws::EFn& e) {
   const std::size_t n = t.size();
   TreeGlwsResult res;
   res.d.assign(n, std::numeric_limits<double>::infinity());
   res.best.assign(n, t.root);
   std::vector<double> ev(n, 0.0);
-  std::vector<std::uint32_t> depth(n, 0);
+  const std::vector<std::uint32_t>& depth = t.depth;
   res.d[t.root] = d0;
   ev[t.root] = e(d0, t.root);
 
   core::DpStats stats;
-  const std::size_t max_depth = n;  // depths are < n
+  // Decision intervals end at the deepest node: no query goes past it.
+  const std::size_t max_depth = t.height;
   auto eval = [&](std::uint32_t u, std::size_t dep) {
     ++stats.relaxations;
     return ev[u] + w(depth[u], dep);
@@ -182,7 +180,6 @@ TreeGlwsResult tree_glws_sequential(const RootedTree& t, double d0,
       continue;
     }
     if (v != t.root) {
-      depth[v] = depth[t.parent[v]] + 1;
       std::uint32_t u = best_of(depth[v]);
       res.best[v] = u;
       res.d[v] = ev[u] + w(depth[u], depth[v]);
@@ -196,6 +193,15 @@ TreeGlwsResult tree_glws_sequential(const RootedTree& t, double d0,
   }
   res.stats = stats;
   return res;
+}
+
+}  // namespace
+
+TreeGlwsResult tree_glws_sequential(const RootedTree& t, double d0,
+                                    const glws::CostFn& w,
+                                    const glws::EFn& e) {
+  return glws::with_cost(
+      w, [&](const auto& cost) { return sequential_body(t, d0, cost, e); });
 }
 
 }  // namespace cordon::treeglws

@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/cordon.hpp"
@@ -206,6 +208,43 @@ TEST(Engine, TreeGlwsRejectsMalformedTrees) {
     EXPECT_THROW((void)solver.solve(inst), std::invalid_argument);
     EXPECT_THROW((void)solver.solve_reference(inst), std::invalid_argument);
   }
+}
+
+TEST(Engine, CostSpecRejectsNegativeOrNonFiniteScale) {
+  // A negative scale flips the Monge shape against the one shape()
+  // reports, so the solvers would return wrong optima: every span-cost
+  // family rejects it, from a parsed instance and from the API alike.
+  const char* parsed[] = {
+      "cordon-instance v1 glws\nn 200\nd0 0\ncost logarithmic 5 -3\nend\n",
+      "cordon-instance v1 glws\nn 50\nd0 0\ncost affine 1 -0.5\nend\n",
+      "cordon-instance v1 kglws\nn 50\nk 3\ncost quadratic 1 -2\nend\n",
+      "cordon-instance v1 gap\na 1 2 3\nb 2 3\nw1 logarithmic 1 2\n"
+      "w2 logarithmic 1 -2\nend\n",
+      "cordon-instance v1 treeglws\nparent 4294967295 0 1\nd0 0\n"
+      "cost affine 1 -1\nend\n",
+  };
+  for (const char* text : parsed) {
+    SCOPED_TRACE(text);
+    std::istringstream in(text);
+    ce::Instance inst = ce::parse_instance(in);
+    const ce::Solver& solver = ce::builtin_registry().at(inst.kind);
+    EXPECT_THROW((void)solver.solve(inst), std::invalid_argument);
+    EXPECT_THROW((void)solver.solve_reference(inst), std::invalid_argument);
+  }
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (auto [open, scale] : {std::pair{1.0, -1e-300}, std::pair{1.0, inf},
+                             std::pair{1.0, nan}, std::pair{inf, 1.0},
+                             std::pair{nan, 1.0}}) {
+    ce::GlwsInstance p{.n = 20, .cost = {.open = open, .scale = scale}};
+    EXPECT_THROW((void)p.cost.make(), std::invalid_argument);
+    EXPECT_THROW((void)ce::builtin_registry().at("glws").solve({"glws", p}),
+                 std::invalid_argument);
+  }
+  // Zero scale (open cost only) stays legal.
+  ce::CostSpec flat{.family = ce::CostSpec::Family::kLogarithmic, .open = 2,
+                    .scale = 0};
+  EXPECT_EQ(flat.make()(0, 9), 2.0);
 }
 
 TEST(Engine, DagInstanceValidation) {

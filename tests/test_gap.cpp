@@ -6,10 +6,12 @@
 
 #include "src/gap/gap.hpp"
 #include "src/parallel/random.hpp"
+#include "test_util.hpp"
 
 using namespace cordon::gap;
 using cordon::glws::Shape;
 namespace cp = cordon::parallel;
+namespace ct = cordon::testing;
 
 namespace {
 
@@ -19,6 +21,19 @@ std::vector<std::uint32_t> random_string(std::size_t n, std::uint64_t seed,
   for (std::size_t i = 0; i < n; ++i)
     s[i] = static_cast<std::uint32_t>(cp::uniform(seed, i, alphabet));
   return s;
+}
+
+// gap_seq on the builders' SpanCosts (called inline) and on the same
+// formulas as plain lambdas (called through CostFn): bit for bit equal.
+void expect_inline_matches_type_erased(const std::vector<std::uint32_t>& a,
+                                       const std::vector<std::uint32_t>& b,
+                                       const cordon::glws::SpanCost& w1,
+                                       const cordon::glws::SpanCost& w2,
+                                       Shape shape, const GapResult& inl) {
+  auto erased = gap_seq(a, b, ct::plain_span_cost(w1),
+                        ct::plain_span_cost(w2), shape);
+  EXPECT_EQ(inl.d, erased.d);
+  ct::expect_same_stats(inl.stats, erased.stats);
 }
 
 void expect_same_table(const GapResult& a, const GapResult& b,
@@ -48,6 +63,7 @@ TEST_P(GapConvexSweep, NaiveSeqParallelAgree) {
   auto w2 = quadratic_gap_cost(3.0, 0.20);
   auto nv = gap_naive(a, b, w1, w2);
   auto sv = gap_seq(a, b, w1, w2, Shape::kConvex);
+  expect_inline_matches_type_erased(a, b, w1, w2, Shape::kConvex, sv);
   auto pv = gap_parallel(a, b, w1, w2, Shape::kConvex);
   expect_same_table(nv, sv);
   expect_same_table(nv, pv);
@@ -71,6 +87,7 @@ TEST_P(GapAffineSweep, AffineCostsAgree) {
   auto w2 = affine_gap_cost(4.0, 1.5);
   auto nv = gap_naive(a, b, w1, w2);
   auto sv = gap_seq(a, b, w1, w2, Shape::kConvex);
+  expect_inline_matches_type_erased(a, b, w1, w2, Shape::kConvex, sv);
   auto pv = gap_parallel(a, b, w1, w2, Shape::kConvex);
   expect_same_table(nv, sv);
   expect_same_table(nv, pv);
@@ -91,6 +108,7 @@ TEST_P(GapConcaveSweep, LogCostsAgree) {
   auto w2 = log_gap_cost(1.5, 2.0);
   auto nv = gap_naive(a, b, w1, w2);
   auto sv = gap_seq(a, b, w1, w2, Shape::kConcave);
+  expect_inline_matches_type_erased(a, b, w1, w2, Shape::kConcave, sv);
   auto pv = gap_parallel(a, b, w1, w2, Shape::kConcave);
   expect_same_table(nv, sv);
   expect_same_table(nv, pv);

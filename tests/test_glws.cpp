@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "src/core/monge.hpp"
@@ -72,6 +73,39 @@ INSTANTIATE_TEST_SUITE_P(Cases, ConcaveSweep,
                                            GlwsCase{500, 17},
                                            GlwsCase{1000, 18},
                                            GlwsCase{2000, 19}));
+
+TEST(GlwsCosts, WithCostFindsTheSpanCostACostFnHolds) {
+  auto sees_span = [](const auto& cost) {
+    return std::is_same_v<std::decay_t<decltype(cost)>, SpanCost>;
+  };
+  const SpanCost span{SpanCost::Kind::kQuadratic, 2.0, 0.5};
+  EXPECT_TRUE(with_cost(CostFn(span), sees_span));
+  EXPECT_FALSE(with_cost(ct::plain_span_cost(span), sees_span));
+  EXPECT_EQ(CostFn(span)(3, 7), ct::plain_span_cost(span)(3, 7));
+}
+
+class SpanCostSweep : public ::testing::TestWithParam<SpanCost::Kind> {};
+
+TEST_P(SpanCostSweep, InlineAndTypeErasedSequentialAgree) {
+  // glws_sequential calls a CostFn's SpanCost inline and a plain lambda
+  // through the CostFn: same D, decisions and work, bit for bit.
+  const SpanCost cost{GetParam(), 3.0, 0.75};
+  const Shape shape =
+      GetParam() == SpanCost::Kind::kLog1p ? Shape::kConcave : Shape::kConvex;
+  EFn e = [](double d, std::size_t j) { return d + 0.125 * double(j % 7); };
+  for (std::size_t n : {1, 2, 10, 500, 3000}) {
+    SCOPED_TRACE(n);
+    auto inl = glws_sequential(n, 0.0, cost, e, shape);
+    auto erased = glws_sequential(n, 0.0, ct::plain_span_cost(cost), e, shape);
+    EXPECT_EQ(inl.d, erased.d);
+    EXPECT_EQ(inl.best, erased.best);
+    ct::expect_same_stats(inl.stats, erased.stats);
+    if (n <= 500) expect_same(glws_naive(n, 0.0, cost, e), inl);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Kinds, SpanCostSweep,
+                         ::testing::ValuesIn(ct::kSpanKinds));
 
 TEST(GlwsCosts, FamiliesSatisfyTheirMongeConditions) {
   auto x = ct::random_positions(18, 42);

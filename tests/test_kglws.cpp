@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "src/glws/costs.hpp"
@@ -85,6 +86,33 @@ INSTANTIATE_TEST_SUITE_P(
                       KglwsCase{10, 3, 3}, KglwsCase{50, 1, 4},
                       KglwsCase{50, 7, 5}, KglwsCase{120, 4, 6},
                       KglwsCase{200, 10, 7}, KglwsCase{300, 3, 8}));
+
+class KglwsSpanCostSweep
+    : public ::testing::TestWithParam<cordon::glws::SpanCost::Kind> {};
+
+TEST_P(KglwsSpanCostSweep, InlineAndTypeErasedDcAgree) {
+  // kglws_dc's layer recursion calls a CostFn's SpanCost inline and a
+  // plain lambda through the CostFn: bit for bit the same layers and
+  // work.  (log1p is concave, which the engine rejects for kglws; the
+  // two instantiations must still agree on it.)
+  const cordon::glws::SpanCost cost{GetParam(), 40.0, 0.5};
+  for (auto [n, k] : {std::pair<std::size_t, std::size_t>{1, 1},
+                      {60, 4}, {3000, 9}}) {
+    SCOPED_TRACE(n);
+    auto inl = kglws_dc(n, k, cost);
+    auto erased = kglws_dc(n, k, ct::plain_span_cost(cost));
+    EXPECT_EQ(inl.d, erased.d);
+    EXPECT_EQ(inl.cut, erased.cut);
+    EXPECT_EQ(inl.total, erased.total);
+    ct::expect_same_stats(inl.stats, erased.stats);
+    if (GetParam() != cordon::glws::SpanCost::Kind::kLog1p && n <= 60)
+      ct::expect_objective_near(inl.total, kglws_naive(n, k, cost).total,
+                                "naive");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Kinds, KglwsSpanCostSweep,
+                         ::testing::ValuesIn(ct::kSpanKinds));
 
 TEST(Kglws, BacktrackGivesValidClustering) {
   const std::size_t n = 100, k = 5;

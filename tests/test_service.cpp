@@ -236,12 +236,18 @@ TEST(CordonService, NoExceptionTypeLeaksThroughSubmit) {
     return ce::Instance{"treeglws", p};
   };
   constexpr std::uint32_t kRoot = 0xffffffffu;
+  ce::GlwsInstance negative_scale;
+  negative_scale.n = 200;
+  negative_scale.cost = {.family = ce::CostSpec::Family::kLogarithmic,
+                         .open = 5,
+                         .scale = -3};
   const Case cases[] = {
       {"unknown kind", ce::Instance{"no-such-problem", ce::LisInstance{{1}}}},
       {"hostile declared size", ce::Instance{"glws", hostile}},
       {"tree parent out of range", tree({kRoot, 0, 1, 900000})},
       {"tree with no root", tree({1, 0, 0})},
       {"tree with two roots", tree({kRoot, kRoot, 0})},
+      {"negative cost scale", ce::Instance{"glws", negative_scale}},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.what);

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "src/parallel/random.hpp"
@@ -141,9 +142,9 @@ TEST(EulerTour, SubtreeRangesAndDepths) {
   auto parents = std::vector<std::uint32_t>{cs::kNoNode, 0, 0, 1, 1, 2, 5, 5};
   cs::RootedTree t(parents);
   cs::EulerTour et = cs::build_euler_tour(t);
-  EXPECT_EQ(et.depth[0], 0u);
-  EXPECT_EQ(et.depth[3], 2u);
-  EXPECT_EQ(et.depth[7], 3u);
+  EXPECT_EQ(t.depth[0], 0u);
+  EXPECT_EQ(t.depth[3], 2u);
+  EXPECT_EQ(t.depth[7], 3u);
   // Subtree of 5 = {5, 6, 7} — contiguous in preorder.
   EXPECT_EQ(et.tout[5] - et.tin[5], 3u);
   // Every child's range nests inside its parent's.
@@ -174,6 +175,65 @@ TEST(RootedTree, ChildrenInNodeIndexOrder) {
                 expect[v])
           << "node " << v;
   }
+}
+
+TEST(RootedTree, DepthAndHeightMatchADfs) {
+  // The validating parent walk hands out depths; compare them with a DFS
+  // from the root.  "relabeled" and "reversed path" put parents after
+  // their children, so most walks take many steps before meeting a node
+  // of known depth.
+  const std::uint32_t n = 500;
+  std::vector<std::uint32_t> star(n, 0), path(n), random(n), broom(n),
+      reversed(n), relabeled(n);
+  std::vector<std::uint32_t> label(n);  // label[v]: v's id in `relabeled`
+  for (std::uint32_t v = 0; v < n; ++v) label[v] = n - 1 - v;
+  for (std::uint32_t v = 1; v < n; ++v) {
+    path[v] = v - 1;
+    random[v] = static_cast<std::uint32_t>(cp::hash64(47, v) % v);
+    broom[v] = v < n / 2 ? v - 1 : n / 2 - 1;
+    std::swap(label[v], label[cp::hash64(53, v) % (v + 1)]);
+  }
+  star[0] = path[0] = random[0] = broom[0] = cs::kNoNode;
+  for (std::uint32_t v = 0; v < n; ++v) {
+    reversed[v] = v + 1 < n ? v + 1 : cs::kNoNode;
+    relabeled[label[v]] = v == 0 ? cs::kNoNode : label[random[v]];
+  }
+  for (const auto& parents : {star, path, random, broom, reversed, relabeled}) {
+    cs::RootedTree t(parents);
+    std::vector<std::uint32_t> expect(n, 0), stack{t.root};
+    std::uint32_t height = 0;
+    while (!stack.empty()) {
+      std::uint32_t v = stack.back();
+      stack.pop_back();
+      height = std::max(height, expect[v]);
+      for (std::uint32_t c : t.children[v]) {
+        expect[c] = expect[v] + 1;
+        stack.push_back(c);
+      }
+    }
+    EXPECT_EQ(t.depth, expect);
+    EXPECT_EQ(t.height, height);
+  }
+  EXPECT_EQ(cs::RootedTree({cs::kNoNode}).height, 0u);
+  EXPECT_EQ(cs::RootedTree(path).height, n - 1);
+  EXPECT_EQ(cs::RootedTree(reversed).height, n - 1);
+  EXPECT_EQ(cs::RootedTree(star).height, 1u);
+  EXPECT_EQ(cs::RootedTree(broom).height, n / 2);
+}
+
+TEST(RootedTree, RejectsParentArraysThatAreNotOneTree) {
+  constexpr std::uint32_t kRoot = cs::kNoNode;
+  const std::vector<std::uint32_t> hostile[] = {
+      {},                         // no node, so no root
+      {1, 0, 0},                  // no root: 0 and 1 form a cycle
+      {kRoot, kRoot, 0},          // two roots
+      {kRoot, 0, 1, 900000},      // parent out of range
+      {kRoot, 1},                 // self-loop
+      {kRoot, 2, 3, 1},           // cycle met two steps into a walk
+      {2, kRoot, 3, 4, 2},        // node 0 walks into the cycle 2-3-4
+  };
+  for (const auto& parents : hostile)
+    EXPECT_THROW(cs::RootedTree{parents}, std::invalid_argument);
 }
 
 // ------------------------------------------------------------------ range tree

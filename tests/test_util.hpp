@@ -107,6 +107,41 @@ inline glws::CostFn random_concave_cost(std::size_t n, std::uint64_t seed,
   };
 }
 
+/// Every SpanCost kind, for sweeps over the span-cost family.
+inline constexpr glws::SpanCost::Kind kSpanKinds[] = {
+    glws::SpanCost::Kind::kLinear, glws::SpanCost::Kind::kQuadratic,
+    glws::SpanCost::Kind::kLog1p};
+
+/// The formula `c` computes, written out as a plain lambda.  with_cost
+/// cannot see a SpanCost in it, so a solver given this CostFn runs its
+/// type-erased instantiation.
+inline glws::CostFn plain_span_cost(const glws::SpanCost& c) {
+  const double o = c.open, s = c.scale;
+  switch (c.kind) {
+    case glws::SpanCost::Kind::kLinear:
+      return [o, s](std::size_t j, std::size_t i) {
+        return o + s * static_cast<double>(i - j);
+      };
+    case glws::SpanCost::Kind::kQuadratic:
+      return [o, s](std::size_t j, std::size_t i) {
+        double len = static_cast<double>(i - j);
+        return o + s * len * len;
+      };
+    case glws::SpanCost::Kind::kLog1p:
+      return [o, s](std::size_t j, std::size_t i) {
+        return o + s * std::log1p(static_cast<double>(i - j));
+      };
+  }
+  return {};
+}
+
+/// Two runs did exactly the same work.
+inline void expect_same_stats(const core::DpStats& a, const core::DpStats& b) {
+  EXPECT_EQ(a.states, b.states);
+  EXPECT_EQ(a.relaxations, b.relaxations);
+  EXPECT_EQ(a.rounds, b.rounds);
+}
+
 /// A random parent array for a rooted tree: parent[v] uniform in [0, v).
 inline std::vector<std::uint32_t> random_tree_parents(std::size_t n,
                                                       std::uint64_t seed) {
