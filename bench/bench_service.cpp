@@ -4,11 +4,10 @@
 // Series (all over the same workload of DISTINCT instances cycling the
 // registered families, submitted REPS times per round):
 //   direct-batch  — BatchExecutor handed the whole queue up front (the
-//                   PR-1 synchronous baseline; no cache, no batching
-//                   window),
+//                   synchronous baseline; no cache, no admission queue),
 //   service-cold  — fresh CordonService, every instance seen for the
-//                   first time: pays admission, batching window, and the
-//                   full solve,
+//                   first time: pays admission, dispatch, and the full
+//                   solve,
 //   service-hot   — same service, repeated workload: the sharded LRU
 //                   answers in submit() without touching a solver,
 //   service-hot-mt— hot cache under CLIENTS concurrent submitter
@@ -83,8 +82,7 @@ int main() {
   });
   report_line("direct-batch", pool.size(), direct_s, 0.0);
 
-  service::CordonService svc(
-      {.max_batch = 64, .batch_window = std::chrono::microseconds(200)});
+  service::CordonService svc({.max_batch = 64});
 
   // Per-series hit rate: diff cache counters around the timed region
   // (svc.stats().cache is cumulative over the service lifetime).

@@ -16,9 +16,9 @@
 //       generated instances cycling over every registered family) and
 //       print per-request latency and aggregate throughput.
 //   cordon_cli stress [--clients C] [--requests R] [--distinct D]
-//                     [--n SIZE] [--seed S] [--window-us W] [--batch B]
-//                     [--cache CAP] [--reference] [--deadline-us D]
-//                     [--max-queue Q] [--shed-oldest]
+//                     [--n SIZE] [--seed S] [--batch B] [--cache CAP]
+//                     [--reference] [--deadline-us D] [--max-queue Q]
+//                     [--shed-oldest]
 //       Drive a CordonService with C client threads, each submitting R
 //       asynchronous requests drawn from a pool of D distinct generated
 //       instances; every completed result is checked against a
@@ -77,8 +77,8 @@ int usage() {
                "[--mix N] [--n SIZE] [--seed S] [FILE...]\n"
                "       cordon_cli stress [--clients C] [--requests R] "
                "[--distinct D] [--n SIZE]\n"
-               "                  [--seed S] [--window-us W] [--batch B] "
-               "[--cache CAP] [--reference] [--metrics]\n"
+               "                  [--seed S] [--batch B] [--cache CAP] "
+               "[--reference] [--metrics]\n"
                "                  [--sessions S] [--appends A] [--chunk C]\n"
                "                  [--deadline-us D] [--max-queue Q] "
                "[--shed-oldest]\n"
@@ -93,7 +93,7 @@ struct Args {
   bool trace = false, metrics = false;
   std::uint64_t n = 1000, k = 8, seed = 1, mix = 0;
   std::uint64_t clients = 4, requests = 256, distinct = 8;
-  std::uint64_t window_us = 500, batch = 64, cache = 4096;
+  std::uint64_t batch = 64, cache = 4096;
   std::uint64_t sessions = 0, appends = 8, chunk = 0;
   std::uint64_t deadline_us = 0, max_queue = 0;  // 0 = none/unbounded
   bool shed_oldest = false;
@@ -132,8 +132,6 @@ bool parse_args(int argc, char** argv, int first, Args& a) {
       if (!next_u64(a.requests)) return false;
     } else if (arg == "--distinct") {
       if (!next_u64(a.distinct)) return false;
-    } else if (arg == "--window-us") {
-      if (!next_u64(a.window_us)) return false;
     } else if (arg == "--batch") {
       if (!next_u64(a.batch)) return false;
     } else if (arg == "--cache") {
@@ -409,9 +407,7 @@ int cmd_stress_sessions(const Args& a) {
   }
 
   service::CordonService svc(
-      {.max_batch = a.batch,
-       .batch_window = std::chrono::microseconds(a.window_us),
-       .cache_capacity = a.cache},
+      {.max_batch = a.batch, .cache_capacity = a.cache},
       reg);
   for (auto& s : sessions)
     s->id = svc.create_session(engine::prefix_instance(s->full, s->cuts[0]));
@@ -503,7 +499,6 @@ int cmd_stress(const Args& a) {
 
   service::CordonService svc(
       {.max_batch = a.batch,
-       .batch_window = std::chrono::microseconds(a.window_us),
        .cache_capacity = a.cache,
        .use_reference = a.reference,
        .max_queue = a.max_queue,
@@ -583,9 +578,8 @@ int cmd_stress(const Args& a) {
       static_cast<unsigned long long>(a.distinct));
   std::printf(
       "        wall=%.3f ms, throughput=%.1f req/s (workers=%zu, "
-      "window=%lluus, batch<=%llu)\n",
+      "batch<=%llu)\n",
       wall * 1e3, total / wall, parallel::num_workers(),
-      static_cast<unsigned long long>(a.window_us),
       static_cast<unsigned long long>(a.batch));
   std::printf(
       "        cache: hit_rate=%.3f (%llu hits, %llu misses, %llu evictions, "

@@ -24,6 +24,11 @@
 # The build dir must have been configured with -DCORDON_BUILD_BENCH=ON
 # (Release recommended: cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=Release
 #  -DCORDON_BUILD_BENCH=ON).
+#
+# A bench that exits non-zero (e.g. bench_service missing its hot/cold
+# bar) does not stop the sweep: every bench still runs, the output file
+# is written with every record, and the script then exits 1 naming the
+# benches that failed.
 set -euo pipefail
 
 BUILD_DIR="${1:-build-bench}"
@@ -73,6 +78,8 @@ trap 'rm -f "$tmp"' EXIT
     "$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
 } > "$tmp"
 
+failed=()
+
 for t in $GRID; do
   for bench in $BENCHES; do
     bin="$BUILD_DIR/$bench"
@@ -83,9 +90,10 @@ for t in $GRID; do
     echo "== $bench (threads=$t) =="
     if [[ "$bench" == "bench_gap" ]]; then
       CORDON_BENCH_N="$GAP_N" CORDON_NUM_THREADS="$t" \
-        CORDON_BENCH_JSON="$tmp" "$bin"
+        CORDON_BENCH_JSON="$tmp" "$bin" || failed+=("$bench (threads=$t)")
     else
-      CORDON_NUM_THREADS="$t" CORDON_BENCH_JSON="$tmp" "$bin"
+      CORDON_NUM_THREADS="$t" CORDON_BENCH_JSON="$tmp" "$bin" ||
+        failed+=("$bench (threads=$t)")
     fi
   done
 done
@@ -97,10 +105,15 @@ for bench in $BENCHES_ONCE; do
     continue
   fi
   echo "== $bench =="
-  CORDON_BENCH_JSON="$tmp" "$bin"
+  CORDON_BENCH_JSON="$tmp" "$bin" || failed+=("$bench")
 done
 
 mv "$tmp" "$OUT"
 trap - EXIT
 echo
 echo "wrote $(wc -l < "$OUT") records to $OUT (thread grid: $GRID, cores: $CORES)"
+if (( ${#failed[@]} > 0 )); then
+  echo "error: ${#failed[@]} bench run(s) failed:" >&2
+  printf '  %s\n' "${failed[@]}" >&2
+  exit 1
+fi

@@ -1,24 +1,17 @@
 // The Cordon Algorithm framework (Sec. 2.3).
 //
-// Two layers:
-//
-// 1. `run_phase_parallel` — the thin generic driver.  Each specialized
-//    algorithm (GLWS, LCS, GAP, ...) implements one phase-parallel
-//    `round()` efficiently with its own data structures; the driver just
-//    loops rounds and counts them.  This is deliberately minimal: the
-//    paper's framework prescribes *what* a round computes (the frontier
-//    delimited by sentinels), while efficiency comes from per-problem
-//    structures.
-//
-// 2. `ExplicitCordon` — Steps 1-5 of Sec. 2.3 over an explicit DpDag,
-//    with two bodies.  run_affine() is a frontier execution in O(n + E)
-//    work, the production solver of the engine's `dag` family
-//    (src/engine/dag_solver.cpp); run_generic() is the literal O(rounds
-//    * E) pass, the reference semantics in tests (Thm 2.1 correctness)
-//    for arbitrary transitions.
+// `ExplicitCordon` — Steps 1-5 of Sec. 2.3 over an explicit DpDag, with
+// two bodies.  run_affine() is a frontier execution in O(n + E) work,
+// the production solver of the engine's `dag` family
+// (src/engine/dag_solver.cpp); run_generic() is the literal O(rounds *
+// E) pass, the reference semantics in tests (Thm 2.1 correctness) for
+// arbitrary transitions.  The specialized algorithms (GLWS, LCS, GAP,
+// ...) each run their own phase-parallel rounds with their own data
+// structures: the framework prescribes *what* a round computes (the
+// frontier delimited by sentinels), while efficiency comes from
+// per-problem structures.
 #pragma once
 
-#include <concepts>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -32,28 +25,6 @@
 #include "src/core/dp_stats.hpp"
 
 namespace cordon::core {
-
-/// A phase-parallel problem exposes `done()` and one `round()` of work.
-template <typename P>
-concept PhaseParallelProblem = requires(P p) {
-  { p.done() } -> std::convertible_to<bool>;
-  p.round();
-};
-
-/// Runs rounds until completion; returns the number of rounds (the span
-/// driver of every theorem in the paper).
-template <PhaseParallelProblem P>
-std::uint64_t run_phase_parallel(P& problem) {
-  std::uint64_t rounds = 0;
-  while (!problem.done()) {
-    poll_cancel();  // round boundary: cancellation/deadline check
-    telemetry::TraceSpan round_span("phase.round", "solver");
-    telemetry::count(telemetry::Counter::kSolverRounds);
-    problem.round();
-    ++rounds;
-  }
-  return rounds;
-}
 
 /// Steps 1-5 of the Cordon Algorithm over an explicit DAG.
 ///

@@ -190,8 +190,8 @@ inline std::ostream& operator<<(std::ostream& os, const CacheStats& s) {
 }
 
 /// Admission-queue latency counters: how long requests sat between
-/// `submit` and the dispatcher picking them up (the batching-window cost,
-/// separate from solver latency which BatchStats tracks).
+/// `submit` and the dispatcher picking them up (the wait behind the
+/// running batch, separate from solver latency which BatchStats tracks).
 struct QueueStats {
   std::uint64_t enqueued = 0;
   double total_wait_s = 0;

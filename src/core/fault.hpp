@@ -109,11 +109,25 @@ struct FaultPlan {
 namespace detail {
 
 /// The armed plan, published by pointer swap so readers never observe a
-/// half-written plan.  Plans are intentionally leaked: a worker mid-draw
-/// when disarm() lands must not read a destroyed plan.
+/// half-written plan.
 inline std::atomic<const FaultPlan*>& active_plan() noexcept {
   static std::atomic<const FaultPlan*> p{nullptr};
   return p;
+}
+
+/// Copies `plan` into a node that lives, reachable, until the process
+/// exits: a worker mid-draw when disarm() or a re-arm lands must not
+/// read a destroyed plan, and no address is ever reused, so a plan's
+/// pointer stays its identity (ThreadRng reseeds on a pointer change).
+inline const FaultPlan* retain(const FaultPlan& plan) {
+  struct Node {
+    FaultPlan plan;
+    Node* next;
+  };
+  static std::atomic<Node*> head{nullptr};
+  auto* node = new Node{plan, nullptr};
+  node->next = head.exchange(node);  // nothing walks the list
+  return &node->plan;
 }
 
 inline std::array<std::atomic<std::uint64_t>, kNumSites>&
@@ -130,7 +144,7 @@ inline std::uint64_t thread_ordinal() noexcept {
 }
 
 /// Per-thread engine, reseeded whenever the armed plan changes (plan
-/// identity is the pointer value — arm() always allocates fresh).
+/// identity is the pointer value — arm() always retains a fresh node).
 struct ThreadRng {
   const FaultPlan* plan = nullptr;
   std::mt19937_64 rng;
@@ -174,9 +188,9 @@ inline void arm_from_env() noexcept {
   static bool once = [] {
     const char* spec = std::getenv("CORDON_FAULT");
     if (spec == nullptr || *spec == '\0') return true;
-    auto* plan = new FaultPlan;
-    parse_env_plan(*plan, spec);
-    active_plan().store(plan, std::memory_order_release);
+    FaultPlan plan;
+    parse_env_plan(plan, spec);
+    active_plan().store(retain(plan), std::memory_order_release);
     return true;
   }();
   (void)once;
@@ -190,7 +204,7 @@ inline void arm_from_env() noexcept {
 inline void arm(const FaultPlan& plan) noexcept {
   for (auto& c : detail::injected_counters())
     c.store(0, std::memory_order_relaxed);
-  detail::active_plan().store(new FaultPlan(plan), std::memory_order_release);
+  detail::active_plan().store(detail::retain(plan), std::memory_order_release);
 }
 
 inline void disarm() noexcept {

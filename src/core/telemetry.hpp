@@ -192,7 +192,7 @@ inline constexpr std::array<MetricInfo, kNumHistograms> kHistogramInfo{{
     {"cordon_service_submit_latency_seconds",
      "submit() wall time: canonicalize, hash, cache probe, enqueue"},
     {"cordon_service_queue_wait_seconds",
-     "Admission-to-dispatch wait per request (the batching-window cost)"},
+     "Admission-to-dispatch wait per request (behind the running batch)"},
     {"cordon_service_batch_solve_seconds",
      "BatchExecutor wall time per dispatched service batch"},
     {"cordon_service_reject_wait_seconds",

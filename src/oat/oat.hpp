@@ -14,9 +14,9 @@
 //     minimal pair yields the same l-tree).  stats.rounds counts the
 //     phase-parallel rounds.  The 1-valley/convex-LWS acceleration of
 //     Appendix A (which bounds rounds by O(log n) on adversarial inputs)
-//     is discussed in DESIGN.md; this implementation exposes the same
-//     experimental quantities (rounds, height, work) the paper's analysis
-//     is parameterized by.
+//     is not implemented (docs/ARCHITECTURE.md, "Substitutions"); this
+//     implementation exposes the same experimental quantities (rounds,
+//     height, work) the paper's analysis is parameterized by.
 //
 // Lemma 5.1 utilities: oat height is O(log W) for positive integer
 // weights of word size W (tests/bench A4 check this).

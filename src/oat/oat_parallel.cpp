@@ -12,8 +12,9 @@
 // Rounds (stats.rounds) are the phase-parallel span driver: for random
 // weights rounds ~ O(log n); monotone weight sequences degrade to O(n)
 // rounds, which is exactly the case the paper's 1-valley + convex-LWS
-// machinery (Appendix A) addresses — see DESIGN.md for the substitution
-// note and bench A4 for the measured round counts.
+// machinery (Appendix A) addresses — see docs/ARCHITECTURE.md
+// ("Substitutions") for the substitution note and bench A4 for the
+// measured round counts.
 #include <span>
 
 #include "src/core/arena.hpp"

@@ -21,6 +21,10 @@ inline std::uint64_t steady_now_ns() noexcept {
       std::chrono::steady_clock::now().time_since_epoch().count());
 }
 
+/// The retry-after hint's floor: a shed client backs off at least this
+/// long, even before any batch has run to seed the EWMA.
+constexpr std::chrono::microseconds kRetryAfterFloor{500};
+
 }  // namespace
 
 namespace cordon::service {
@@ -142,15 +146,13 @@ std::future<engine::SolveResult> CordonService::submit(engine::Instance inst,
 
 std::chrono::nanoseconds CordonService::retry_after_hint(
     std::size_t queue_depth) const {
-  // Batches ahead of a would-be admit × EWMA batch wall time, plus one
-  // batching window.  Before any batch has run the EWMA is 0 and the
-  // hint degrades to the window alone — still a sane backoff floor.
+  // Batches ahead of a would-be admit × EWMA batch wall time, plus a
+  // fixed floor.  Before any batch has run the EWMA is 0 and the hint
+  // degrades to the floor alone.
   std::uint64_t ewma = ewma_batch_ns_.load(std::memory_order_relaxed);
   std::uint64_t batches_ahead =
       (queue_depth + opt_.max_batch - 1) / opt_.max_batch;
-  return std::chrono::nanoseconds(ewma * batches_ahead) +
-         std::chrono::duration_cast<std::chrono::nanoseconds>(
-             opt_.batch_window);
+  return std::chrono::nanoseconds(ewma * batches_ahead) + kRetryAfterFloor;
 }
 
 void CordonService::fail_pending(Pending& p, core::SolveErrorCode code,
@@ -700,28 +702,8 @@ void CordonService::dispatch_loop() {
     cv_.wait(lock, [&] { return stopping_ || !queue_.empty(); });
     if (queue_.empty()) return;  // stopping and fully drained
 
-    // Batching window: dispatch when the batch is full or the oldest
-    // request has waited long enough (shutdown flushes immediately).
-    //
-    // Flush-latency contract (test: RequestsNeverWaitASecondBatchWindow):
-    // no request ever waits a second full window.  A request that
-    // arrives while we sleep in wait_until below is either already in
-    // queue_ when we re-acquire the lock after the timeout — so it
-    // rides this very flush — or it missed this batch entirely, in
-    // which case the next loop iteration computes a fresh deadline from
-    // that request's OWN enqueue time (and if the dispatcher was busy
-    // in run_batch meanwhile, that deadline is already partly or fully
-    // elapsed, so wait_until returns immediately).  The one deadline
-    // per batch therefore bounds every request's queue wait by
-    // batch_window plus the batch ahead of it, never 2x the window.
-    auto deadline = queue_.front().enqueued + opt_.batch_window;
-    {
-      telemetry::TraceSpan window_span("batch_window", "service");
-      while (!stopping_ && queue_.size() < opt_.max_batch &&
-             cv_.wait_until(lock, deadline) != std::cv_status::timeout) {
-      }
-    }
-
+    // Dispatch on arrival: take what is queued now, up to max_batch.
+    // Requests that arrived while the previous batch ran ride this one.
     std::size_t take = std::min(queue_.size(), opt_.max_batch);
     telemetry::gauge_add(telemetry::Gauge::kServiceQueueDepth,
                          -static_cast<std::int64_t>(take));
@@ -852,8 +834,10 @@ void CordonService::run_batch_impl(std::vector<Pending>& taken) {
   }
 
   // A prior batch may have cached a key after these requests were
-  // admitted: re-probe before solving.  (So a queued request probes the
-  // cache twice — once in submit, once here; CacheStats counts probes.)
+  // admitted: re-probe before solving.  With one serial dispatcher, this
+  // is what holds a duplicate that queued behind its twin's batch to one
+  // solve.  (So a queued request probes the cache twice — once in
+  // submit, once here; CacheStats counts probes.)
   struct Outcome {
     const Group* group;
     engine::SolveResult result;      // when ok

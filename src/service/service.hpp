@@ -9,10 +9,11 @@
 //      probes the sharded LRU result cache — a hit completes the future
 //      on the spot without touching the solver or the queue.
 //   2. A miss appends the request to the admission queue.  A dedicated
-//      dispatcher thread coalesces pending requests into batches —
-//      dispatching when `max_batch` requests are waiting or when the
-//      oldest has waited `batch_window`, whichever comes first — and
-//      identical instances inside a batch collapse to one solve.
+//      dispatcher thread takes whatever is queued, up to `max_batch`, as
+//      soon as it wakes, so a miss waits only for the batch already
+//      running; identical instances inside a batch collapse to one
+//      solve, and a re-probe of the cache at dispatch catches keys the
+//      running batch solved.
 //   3. The batch runs through BatchExecutor on the shared work-stealing
 //      pool (the dispatcher adopts an external worker slot, so nested
 //      intra-instance parallelism works exactly as from main()), results
@@ -64,13 +65,10 @@ enum class OverloadPolicy {
 };
 
 struct ServiceOptions {
-  /// Largest batch handed to the executor in one dispatch.
+  /// Largest batch handed to the executor in one dispatch.  The
+  /// dispatcher never waits for a batch to fill: it takes what is
+  /// queued, up to this many, each time it wakes.
   std::size_t max_batch = 64;
-  /// How long the dispatcher lets the oldest pending request wait for
-  /// company before dispatching a partial batch.  Upper-bounds every
-  /// request's queue wait at one window (plus the batch executing ahead
-  /// of it) — a request can never be skipped into a second window.
-  std::chrono::microseconds batch_window{500};
   /// Total result-cache entries across all shards; 0 disables caching.
   std::size_t cache_capacity = 4096;
   std::size_t cache_shards = 16;
@@ -276,7 +274,8 @@ class CordonService {
                     std::chrono::nanoseconds retry_after =
                         std::chrono::nanoseconds{0});
   /// Backpressure hint for kShed: how long until the queue has likely
-  /// drained enough to admit again (EWMA batch time × queued batches).
+  /// drained enough to admit again (EWMA batch time × queued batches,
+  /// plus a fixed backoff floor).
   [[nodiscard]] std::chrono::nanoseconds retry_after_hint(
       std::size_t queue_depth) const;
   engine::SolveResult append_locked(Session& s, const engine::Delta& delta,

@@ -21,8 +21,8 @@
 //     the common prefix, the O(n^2) -> O~(n) space argument of the paper.
 //     (The paper further parallelizes this step with HLD-ordered
 //     divide-and-conquer; we keep it ordered within a round and note the
-//     substitution in DESIGN.md — work is identical, only the per-round
-//     span of this step differs.)
+//     substitution in docs/ARCHITECTURE.md, "Substitutions" — work is
+//     identical, only the per-round span of this step differs.)
 #include <atomic>
 #include <limits>
 #include <span>

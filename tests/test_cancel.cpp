@@ -201,52 +201,73 @@ TEST(Cancel, ServiceCancelTokenFailsTheFutureTyped) {
 }
 
 TEST(Cancel, RejectNewShedsTheNewcomerWithRetryHint) {
-  const ce::Solver& solver = ce::builtin_registry().at("lis");
-  // max_batch = 2 keeps the dispatcher waiting out the (long) window
-  // instead of taking the lone queued request immediately, so the
-  // admission decision below is deterministic.
-  cs::CordonService svc({.max_batch = 2,
-                         .batch_window = std::chrono::microseconds(50'000),
-                         .cache_capacity = 0,
+  // A gated solve holds the dispatcher, so with max_queue = 1 the
+  // second request fills the queue and the third is shed: the admission
+  // decision below is deterministic.
+  cordon::testing::Gate gate;
+  ce::ProblemRegistry reg = cordon::testing::gated_lis_registry(gate);
+  const ce::Solver& solver = reg.at("lis");
+  cs::CordonService svc({.cache_capacity = 0,
                          .max_queue = 1,
-                         .overload_policy = cs::OverloadPolicy::kRejectNew});
-  std::future<ce::SolveResult> admitted =
+                         .overload_policy = cs::OverloadPolicy::kRejectNew},
+                        reg);
+  std::future<ce::SolveResult> running =
       svc.submit(solver.generate({80, 4, 1}));
-  std::future<ce::SolveResult> rejected =
+  gate.wait_started(1);
+  std::future<ce::SolveResult> admitted =
       svc.submit(solver.generate({80, 4, 2}));
+  std::future<ce::SolveResult> rejected =
+      svc.submit(solver.generate({80, 4, 3}));
+  // The shed is settled inside submit(), before any batch has completed,
+  // so the retry hint cannot lean on a measured batch time.
+  EXPECT_EQ(rejected.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  EXPECT_EQ(svc.stats().batches, 0u);
+  gate.open();
   try {
     (void)rejected.get();
-    FAIL() << "second submit must be shed at max_queue = 1";
+    FAIL() << "third submit must be shed at max_queue = 1";
   } catch (const cc::SolveError& e) {
     EXPECT_EQ(e.code(), cc::SolveErrorCode::kShed) << e.what();
     EXPECT_GT(e.retry_after().count(), 0);
   }
-  // The admitted request is untouched by the rejection.
+  // The admitted requests are untouched by the rejection.
   EXPECT_GT(admitted.get().objective, 0.0);
+  EXPECT_GT(running.get().objective, 0.0);
   cs::ServiceStats stats = svc.stats();
   EXPECT_EQ(stats.shed, 1u);
-  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.completed, 2u);
   EXPECT_EQ(stats.failed, 1u);
 }
 
 TEST(Cancel, ShedOldestEvictsTheHeadAndAdmitsTheNewcomer) {
-  const ce::Solver& solver = ce::builtin_registry().at("lis");
-  cs::CordonService svc({.max_batch = 2,
-                         .batch_window = std::chrono::microseconds(50'000),
-                         .cache_capacity = 0,
+  // As above: the gate holds the first request in the dispatcher, so
+  // the second is the queue's head when the third arrives.
+  cordon::testing::Gate gate;
+  ce::ProblemRegistry reg = cordon::testing::gated_lis_registry(gate);
+  const ce::Solver& solver = reg.at("lis");
+  cs::CordonService svc({.cache_capacity = 0,
                          .max_queue = 1,
-                         .overload_policy = cs::OverloadPolicy::kShedOldest});
-  ce::Instance newer = solver.generate({80, 4, 2});
-  std::future<ce::SolveResult> oldest = svc.submit(solver.generate({80, 4, 1}));
+                         .overload_policy = cs::OverloadPolicy::kShedOldest},
+                        reg);
+  ce::Instance newer = solver.generate({80, 4, 3});
+  std::future<ce::SolveResult> running =
+      svc.submit(solver.generate({80, 4, 1}));
+  gate.wait_started(1);
+  std::future<ce::SolveResult> oldest = svc.submit(solver.generate({80, 4, 2}));
   std::future<ce::SolveResult> admitted = svc.submit(newer);
+  gate.open();
   try {
     (void)oldest.get();
     FAIL() << "the queue head must be shed under shed-oldest";
   } catch (const cc::SolveError& e) {
     EXPECT_EQ(e.code(), cc::SolveErrorCode::kShed) << e.what();
   }
-  expect_objective_near(admitted.get().objective, solver.solve(newer).objective,
-                        "newcomer under shed-oldest");
+  expect_objective_near(
+      admitted.get().objective,
+      ce::builtin_registry().at("lis").solve(newer).objective,
+      "newcomer under shed-oldest");
+  EXPECT_GT(running.get().objective, 0.0);
   EXPECT_EQ(svc.stats().shed, 1u);
 }
 

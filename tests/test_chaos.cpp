@@ -217,8 +217,7 @@ void chaos_sessions(const fs::path& journal_dir, std::size_t n_sessions,
 // --- storms that run in every build (no injection needed) -------------------
 
 TEST(Chaos, DeadlineStormResolvesEveryFutureTyped) {
-  Tally t = chaos_clients({.batch_window = std::chrono::microseconds(200),
-                           .cache_capacity = 0},
+  Tally t = chaos_clients({.cache_capacity = 0},
                           /*with_deadlines=*/true, /*with_cancels=*/false);
   EXPECT_EQ(t.untyped, 0u);
   EXPECT_EQ(t.total(), 4u * 30u);
@@ -227,8 +226,7 @@ TEST(Chaos, DeadlineStormResolvesEveryFutureTyped) {
 }
 
 TEST(Chaos, CancelStormResolvesEveryFutureTyped) {
-  Tally t = chaos_clients({.batch_window = std::chrono::microseconds(200),
-                           .cache_capacity = 0},
+  Tally t = chaos_clients({.cache_capacity = 0},
                           /*with_deadlines=*/false, /*with_cancels=*/true);
   EXPECT_EQ(t.untyped, 0u);
   EXPECT_EQ(t.total(), 4u * 30u);
@@ -239,7 +237,6 @@ TEST(Chaos, OverloadStormShedsTypedUnderBothPolicies) {
   for (cs::OverloadPolicy policy :
        {cs::OverloadPolicy::kRejectNew, cs::OverloadPolicy::kShedOldest}) {
     Tally t = chaos_clients({.max_batch = 8,
-                             .batch_window = std::chrono::milliseconds(2),
                              .cache_capacity = 0,
                              .max_queue = 2,
                              .overload_policy = policy},
@@ -288,7 +285,7 @@ TEST(Chaos, SeededFaultPlansYieldOnlyTypedOutcomesAndLinearLineages) {
     SCOPED_TRACE(np.name);
     fs::path dir = scratch_dir(std::string("plan-") + np.name);
     ArmGuard armed(np.plan);
-    Tally t = chaos_clients({.batch_window = std::chrono::microseconds(200)},
+    Tally t = chaos_clients({},
                             /*with_deadlines=*/true, /*with_cancels=*/true,
                             /*clients=*/3, /*per_client=*/20);
     EXPECT_EQ(t.untyped, 0u);

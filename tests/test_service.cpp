@@ -1,7 +1,7 @@
 // Service layer: ShardedLruCache semantics, asynchronous admission,
-// batching/coalescing, cache hit/miss/eviction accounting, failure
-// isolation, shutdown draining, and oracle-checked correctness under
-// concurrent client threads.
+// dispatch on arrival and coalescing, cache hit/miss/eviction
+// accounting, failure isolation, shutdown draining, and oracle-checked
+// correctness under concurrent client threads.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -197,14 +197,13 @@ TEST(CordonService, RepeatSubmitIsServedFromCache) {
 }
 
 TEST(CordonService, DuplicatesInFlightCollapseToOneSolve) {
-  // A wide batching window keeps all duplicates in one dispatch; even if
-  // they split across dispatches, the dispatcher's cache re-probe means
-  // the solver still runs exactly once.
+  // Duplicates queued together coalesce in-batch; a duplicate that
+  // queued behind its twin's batch hits the dispatcher's cache re-probe.
+  // However they split across dispatches, the solver runs exactly once.
   const ce::Solver& solver = ce::builtin_registry().at("oat");
   ce::Instance inst = solver.generate({150, 4, 3});
 
-  cs::CordonService svc({.max_batch = 64,
-                         .batch_window = std::chrono::microseconds(50000)});
+  cs::CordonService svc({.max_batch = 64});
   std::vector<std::future<ce::SolveResult>> futs;
   for (int i = 0; i < 12; ++i) futs.push_back(svc.submit(inst));
   double want = solver.solve(inst).objective;
@@ -284,14 +283,17 @@ TEST(CordonService, FailuresSurfaceAsExceptionsAndAreNotCached) {
 
 TEST(CordonService, ShutdownDrainsPendingAndRejectsNewSubmits) {
   const ce::Solver& solver = ce::builtin_registry().at("obst");
-  cs::CordonService svc({.batch_window = std::chrono::microseconds(20000)});
-  std::vector<std::future<ce::SolveResult>> futs;
+  std::vector<ce::Instance> insts;
   std::vector<double> want;
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    ce::Instance inst = solver.generate({80, 4, seed});
-    want.push_back(solver.solve(inst).objective);
-    futs.push_back(svc.submit(inst));
+    insts.push_back(solver.generate({80, 4, seed}));
+    want.push_back(solver.solve(insts.back()).objective);
   }
+  // Submit back to back, then shut down at once: whatever is still
+  // queued must drain.
+  cs::CordonService svc;
+  std::vector<std::future<ce::SolveResult>> futs;
+  for (const ce::Instance& inst : insts) futs.push_back(svc.submit(inst));
   svc.shutdown();  // must complete every admitted future
   svc.shutdown();  // idempotent
   for (std::size_t i = 0; i < futs.size(); ++i)
@@ -341,47 +343,33 @@ TEST(CordonService, QueueStatsCoverEveryQueuedRequest) {
   EXPECT_EQ(stats.largest_batch, 1u);
 }
 
-// --- CordonService: dispatcher flush latency --------------------------------
+// --- CordonService: dispatch on arrival -------------------------------------
 
-TEST(CordonService, RequestsNeverWaitASecondBatchWindow) {
-  // Regression guard for the batching window's edge: the dispatcher
-  // computes one deadline per batch from the oldest request, and a
-  // request that arrives as cv_.wait_until expires either joins the
-  // batch being taken (it is already in queue_ when the dispatcher
-  // re-acquires mu_) or becomes the front of the next cycle with a
-  // fresh deadline from ITS OWN enqueue time.  Either way no request
-  // can wait two full windows.  The bounds below are slack-tolerant
-  // (1.8 windows) but far below the 2+ windows the bug would cost.
-  using clk = std::chrono::steady_clock;
-  const auto window = std::chrono::milliseconds(250);
-  const ce::Solver& solver = ce::builtin_registry().at("lis");
+TEST(CordonService, DispatchTakesWhatQueuedBehindARunningBatch) {
+  // The dispatcher takes a lone request at once; requests that queue
+  // while its batch runs go out together in the next one.
+  cordon::testing::Gate gate;
+  ce::ProblemRegistry reg = cordon::testing::gated_lis_registry(gate);
+  const ce::Solver& lis = ce::builtin_registry().at("lis");
+  std::vector<ce::Instance> insts;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed)
+    insts.push_back(lis.generate({60, 4, seed}));
 
-  cs::CordonService svc({.max_batch = 64,
-                         .batch_window = window,
-                         .cache_capacity = 0});
-  // Warm-up: pool started, code paths faulted in (not timed).
-  (void)svc.submit(solver.generate({40, 4, 1})).get();
+  cs::CordonService svc({}, reg);
+  std::vector<std::future<ce::SolveResult>> futs;
+  futs.push_back(svc.submit(insts[0]));
+  gate.wait_started(1);  // the first batch holds the dispatcher
+  futs.push_back(svc.submit(insts[1]));
+  futs.push_back(svc.submit(insts[2]));
+  gate.open();
+  for (std::size_t i = 0; i < futs.size(); ++i)
+    expect_objective_near(futs[i].get().objective,
+                          lis.solve(insts[i]).objective, "gated request");
 
-  // A lone request flushes after one window, not two.
-  auto t0 = clk::now();
-  (void)svc.submit(solver.generate({40, 4, 2})).get();
-  auto lone = clk::now() - t0;
-  EXPECT_LT(lone, window * 18 / 10)
-      << "lone request took "
-      << std::chrono::duration<double>(lone).count() << "s";
-
-  // A request arriving late in an open window: completes within its own
-  // window (riding the first flush or opening the next batch), never a
-  // second full window after ITS arrival.
-  auto early = svc.submit(solver.generate({40, 4, 3}));
-  std::this_thread::sleep_for(window * 8 / 10);
-  auto t1 = clk::now();
-  (void)svc.submit(solver.generate({40, 4, 4})).get();
-  auto late = clk::now() - t1;
-  (void)early.get();
-  EXPECT_LT(late, window * 18 / 10)
-      << "late-window request took "
-      << std::chrono::duration<double>(late).count() << "s";
+  cs::ServiceStats stats = svc.stats();
+  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_EQ(stats.largest_batch, 2u);
+  EXPECT_EQ(stats.solver.requests, 3u);
 }
 
 // --- CordonService: hostile payloads ----------------------------------------
@@ -428,8 +416,7 @@ TEST(CordonService, ConcurrentClientsGetOracleCheckedResults) {
 
   constexpr std::size_t kClients = 6;  // acceptance floor is 4
   constexpr std::size_t kRequestsPerClient = 36;
-  cs::CordonService svc({.max_batch = 16,
-                         .batch_window = std::chrono::microseconds(200)});
+  cs::CordonService svc({.max_batch = 16});
 
   std::vector<std::vector<std::pair<std::size_t, std::future<ce::SolveResult>>>>
       per_client(kClients);

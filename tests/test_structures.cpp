@@ -9,11 +9,9 @@
 
 #include "src/parallel/random.hpp"
 #include "src/structures/best_decision_list.hpp"
-#include "src/structures/cartesian_tree.hpp"
 #include "src/structures/hld.hpp"
 #include "src/structures/monotonic_queue.hpp"
 #include "src/structures/range_tree.hpp"
-#include "src/structures/rmq.hpp"
 #include "src/structures/segment_tree.hpp"
 #include "src/structures/tournament_tree.hpp"
 #include "src/structures/tree_utils.hpp"
@@ -63,24 +61,6 @@ INSTANTIATE_TEST_SUITE_P(Sizes, TournamentSweep,
                          ::testing::Values(1, 2, 3, 15, 16, 17, 100, 1000,
                                            40000));
 
-// ------------------------------------------------------------------ rmq
-TEST(SparseTableRmq, MatchesBruteForce) {
-  const std::size_t n = 300;
-  std::vector<int> v(n);
-  for (std::size_t i = 0; i < n; ++i)
-    v[i] = static_cast<int>(cp::hash64(5, i) % 100);
-  cs::SparseTableRmq<int> rmq(v);
-  for (std::size_t lo = 0; lo < n; lo += 7) {
-    for (std::size_t hi = lo + 1; hi <= n; hi += 11) {
-      std::size_t expect = static_cast<std::size_t>(
-          std::min_element(v.begin() + static_cast<std::ptrdiff_t>(lo),
-                           v.begin() + static_cast<std::ptrdiff_t>(hi)) -
-          v.begin());
-      ASSERT_EQ(rmq.argmin(lo, hi), expect) << lo << " " << hi;
-    }
-  }
-}
-
 // ------------------------------------------------------------- segment tree
 TEST(SegmentTree, PointUpdateRangeMin) {
   struct MinOp {
@@ -100,41 +80,6 @@ TEST(SegmentTree, PointUpdateRangeMin) {
     for (std::size_t k = lo; k < hi; ++k) expect = std::min(expect, ref[k]);
     ASSERT_EQ(st.query(lo, hi), expect);
   }
-}
-
-// ------------------------------------------------------------ cartesian tree
-TEST(CartesianTree, HeapAndInorderProperties) {
-  const std::size_t n = 500;
-  std::vector<double> w(n);
-  for (std::size_t i = 0; i < n; ++i)
-    w[i] = static_cast<double>(cp::hash64(21, i) % 1000);
-  cs::CartesianTree t = cs::build_cartesian_tree(w);
-  // Heap property + parent/child consistency.
-  int root_count = 0;
-  for (std::uint32_t v = 0; v < n; ++v) {
-    if (t.parent[v] == cs::CartesianTree::kNone) {
-      ++root_count;
-      EXPECT_EQ(v, t.root);
-    } else {
-      EXPECT_LE(w[t.parent[v]], w[v]);
-      EXPECT_TRUE(t.left[t.parent[v]] == v || t.right[t.parent[v]] == v);
-    }
-  }
-  EXPECT_EQ(root_count, 1);
-  // In-order traversal must recover 0..n-1 (alphabetic structure).
-  std::vector<std::uint32_t> inorder;
-  struct Rec {
-    static void go(const cs::CartesianTree& t, std::uint32_t v,
-                   std::vector<std::uint32_t>& out) {
-      if (v == cs::CartesianTree::kNone) return;
-      go(t, t.left[v], out);
-      out.push_back(v);
-      go(t, t.right[v], out);
-    }
-  };
-  Rec::go(t, t.root, inorder);
-  ASSERT_EQ(inorder.size(), n);
-  for (std::uint32_t i = 0; i < n; ++i) ASSERT_EQ(inorder[i], i);
 }
 
 // ----------------------------------------------------------------- tree utils

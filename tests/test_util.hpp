@@ -1,18 +1,22 @@
 // Shared helpers for the test suite: seeded random inputs, the cost
 // families used across GLWS / GAP / Tree-GLWS tests, the objective
-// comparison tolerance used by the engine/service oracle checks, and a
-// scoped override for the CORDON_* routing knobs.
+// comparison tolerance used by the engine/service oracle checks, a
+// scoped override for the CORDON_* routing knobs, and a gated solver
+// that holds the service's dispatcher at a known point.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
+#include "src/engine/registry.hpp"
 #include "src/glws/glws.hpp"
 #include "src/parallel/random.hpp"
 
@@ -166,6 +170,74 @@ inline std::vector<std::uint32_t> caterpillar_parents(std::size_t n) {
   if (n > 1) parent[1] = 0;
   if (n > 2) parent[2] = 0;
   return parent;
+}
+
+/// Holds every solve that enters it until the test calls open().  Once
+/// open, it stays open.
+class Gate {
+ public:
+  /// Records that a solve reached the gate, then blocks until open().
+  void enter() {
+    std::unique_lock lock(mu_);
+    ++started_;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return open_; });
+  }
+  /// Blocks until `n` solves have reached the gate.
+  void wait_started(std::size_t n) {
+    std::unique_lock lock(mu_);
+    cv_.wait(lock, [&] { return started_ >= n; });
+  }
+  void open() {
+    std::lock_guard lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::size_t started_ = 0;
+  bool open_ = false;
+};
+
+/// The builtin `lis` adapter, under the same key, with every solve()
+/// passing through `gate` first.  Registered in a test-local registry
+/// it lets a service test hold the dispatcher inside a batch while it
+/// queues requests behind it, with no timing window.  The gate must
+/// outlive every solve, and must be opened before the service drains.
+class GatedLis final : public engine::Solver {
+ public:
+  explicit GatedLis(Gate& gate) : gate_(gate) {}
+
+  [[nodiscard]] std::string_view key() const override { return inner_.key(); }
+  [[nodiscard]] std::string_view description() const override {
+    return "lis behind a test gate";
+  }
+  [[nodiscard]] engine::SolveResult solve(
+      const engine::Instance& inst) const override {
+    gate_.enter();
+    return inner_.solve(inst);
+  }
+  [[nodiscard]] engine::SolveResult solve_reference(
+      const engine::Instance& inst) const override {
+    return inner_.solve_reference(inst);
+  }
+  [[nodiscard]] engine::Instance generate(
+      const engine::GenOptions& opt) const override {
+    return inner_.generate(opt);
+  }
+
+ private:
+  Gate& gate_;
+  const engine::Solver& inner_ = engine::builtin_registry().at("lis");
+};
+
+/// A registry holding only a GatedLis on `gate`.
+inline engine::ProblemRegistry gated_lis_registry(Gate& gate) {
+  engine::ProblemRegistry reg;
+  reg.add(std::make_unique<GatedLis>(gate));
+  return reg;
 }
 
 }  // namespace cordon::testing
