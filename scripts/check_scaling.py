@@ -5,7 +5,7 @@ to the sequential algorithm, and must beat it once the hardware can.
 Consumes one thread-sweep trajectory produced by scripts/run_benches.sh
 (JSON-lines; every record carries the real worker count the scheduler
 used in its "threads" field) and enforces, for the gated families
-(glws, lis, lcs, gap):
+(glws, lis, lcs, gap, oat):
 
   1. Correctness: every record must say verified=1 — a fast wrong
      answer gates nothing.
@@ -19,11 +19,16 @@ used in its "threads" field) and enforces, for the gated families
      tolerance).  Families whose parallel machinery needs more workers
      than t route sequentially via their min-worker floor, so "no
      slower" is exactly what adaptive routing promises; a family that
-     does go parallel at t must genuinely win.  All four gated
-     families have a floor of 8 (src/core/cutoff.hpp), so on a 4-core
-     runner every gated point routes sequentially and gate 3 checks
-     that the routing costs nothing; each point's printed path shows
-     which algorithm ran.
+     does go parallel at t must genuinely win.  glws, lis, lcs and gap
+     have a floor of 8 (src/core/cutoff.hpp), so on a 4-core runner
+     their gated points route sequentially and gate 3 checks that the
+     routing costs nothing; oat has no floor, so its points run
+     `path: parallel` and gate 3 checks a parallel win over
+     Garsia-Wachs.  Each point's printed path shows which algorithm ran.
+
+Each point also prints, ungated, its speedup over `one_thread_s` (the
+parallel algorithm run inline) next to its speedup over `sequential_s`:
+a win over a weak sequential baseline then shows up as one.
 
 When the runner has fewer cores than --min-threads, gate 3 is SKIPPED
 with a loud warning (oversubscribed "4 threads" on 1 core measures the
@@ -50,6 +55,7 @@ FAMILIES = {
     "bench_lis": "lis",
     "bench_fig6_lcs": "lcs",
     "bench_gap": "gap",
+    "bench_oat": "oat",
 }
 # Fields that tell instances of one n apart (bench_lis: input shape).
 EXTRA_KEYS = ("shape", "k", "L", "cells")
@@ -134,6 +140,8 @@ def main():
     def limit(seq_s):
         return seq_s * (1.0 + args.rel_tol) + args.abs_slack_s
 
+    print("check_scaling: each point: speedup over sequential_s (gated), "
+          "then over one_thread_s (printed only)")
     for family in sorted(points):
         print(f"check_scaling: --- {family} ---")
         groups = points[family]
@@ -150,7 +158,11 @@ def main():
                     failed = True
                 speedup = (cell["seq"] / cell["seconds"]
                            if cell["seconds"] > 0 else float("inf"))
-                curve.append(f"t={t}:{speedup:5.2f}x[{'/'.join(sorted(cell['paths']))}]")
+                inline = (f"{cell['one'] / cell['seconds']:5.2f}x"
+                          if cell["seconds"] > 0 and cell["one"] < float("inf")
+                          else "    -")
+                curve.append(f"t={t}:{speedup:5.2f}x seq {inline} 1t"
+                             f"[{'/'.join(sorted(cell['paths']))}]")
             print(f"check_scaling: {family:5s} n={n:<8} {fmt_extra(extra):12s} "
                   f"seq={min(c['seq'] for c in by_threads.values()) * 1e3:9.3f}ms  "
                   + "  ".join(curve))

@@ -46,7 +46,7 @@ fi
 # path.  Run-once set: benches whose numbers don't vary with the pool
 # size in an interesting way (the service bench manages its own pool;
 # the incremental bench's resume path is per-append sequential work).
-BENCHES="${BENCHES:-bench_fig7_glws bench_lis bench_fig6_lcs bench_gap bench_engine_batch}"
+BENCHES="${BENCHES:-bench_fig7_glws bench_lis bench_fig6_lcs bench_gap bench_oat bench_engine_batch}"
 BENCHES_ONCE="${BENCHES_ONCE:-bench_service bench_incremental}"
 GAP_N="${CORDON_BENCH_GAP_N:-384}"
 

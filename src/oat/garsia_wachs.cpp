@@ -4,14 +4,18 @@
 // (prev(y), y) is then a locally minimal pair (the failed triggers to its
 // left force strict descent of 2-sums).  After combining and
 // reinserting, only the neighbourhoods of the removal and insertion
-// points can produce new triggers, so the scan resumes at prev(x) — the
-// classic near-linear behaviour on non-adversarial inputs.
+// points can produce new triggers, so the scan resumes at prev(x).  A
+// combine backs the scan up by at most two nodes, so it takes O(n) steps
+// in total, and each reinsertion is an O(log n) treap search
+// (src/oat/gw_list.hpp).
+// stats.relaxations counts the scan's steps plus the searches' nodes.
 #include "src/oat/gw_list.hpp"
 #include "src/oat/oat.hpp"
 
 namespace cordon::oat {
 
 OatResult oat_garsia_wachs(const std::vector<double>& weights) {
+  detail::check_weights(weights);
   const std::size_t n = weights.size();
   OatResult res;
   if (n == 0) return res;
@@ -41,11 +45,7 @@ OatResult oat_garsia_wachs(const std::vector<double>& weights) {
     // prev is the +inf sentinel and the trigger can still fire only via
     // next being +inf (size 1), which the loop guard handles.
   }
-  res.levels = list.leaf_levels(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    res.cost += weights[i] * res.levels[i];
-    res.height = std::max(res.height, res.levels[i]);
-  }
+  detail::set_levels(res, weights, list.combines());
   res.stats.rounds = res.stats.states;  // one combine per "round" sequentially
   return res;
 }

@@ -20,6 +20,7 @@
 namespace cordon::oat {
 
 OatResult oat_hu_tucker(const std::vector<double>& weights) {
+  detail::check_weights(weights);
   const std::size_t n = weights.size();
   OatResult res;
   if (n == 0) return res;
@@ -28,12 +29,11 @@ OatResult oat_hu_tucker(const std::vector<double>& weights) {
     return res;
   }
 
-  constexpr std::uint32_t kNone = 0xffffffffu;
   // Arena: leaves then internal nodes.
   std::vector<double> w(weights);
   std::vector<bool> transparent(n, false);
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> child;
-  child.assign(n, {kNone, kNone});
+  std::vector<detail::Combine> combines;
+  combines.reserve(n - 1);
   // Live list as next/prev over arena ids (position = list order).
   std::vector<std::uint32_t> order;  // current list, rebuilt lazily
   order.reserve(n);
@@ -64,26 +64,13 @@ OatResult oat_hu_tucker(const std::vector<double>& weights) {
     std::uint32_t z = static_cast<std::uint32_t>(w.size());
     w.push_back(w[a] + w[b]);
     transparent.push_back(true);
-    child.push_back({a, b});
+    combines.push_back({a, b});
     order[best_p] = z;
     order.erase(order.begin() + static_cast<std::ptrdiff_t>(best_q));
     ++res.stats.states;
   }
 
-  // Leaf levels from the combine forest (children created before parent).
-  std::vector<std::uint32_t> depth(w.size(), 0);
-  for (std::size_t v = w.size(); v > 0; --v) {
-    std::uint32_t id = static_cast<std::uint32_t>(v - 1);
-    if (child[id].first == kNone) continue;
-    depth[child[id].first] = depth[id] + 1;
-    depth[child[id].second] = depth[id] + 1;
-  }
-  depth.resize(n);
-  res.levels = std::move(depth);
-  for (std::size_t i = 0; i < n; ++i) {
-    res.cost += weights[i] * res.levels[i];
-    res.height = std::max(res.height, res.levels[i]);
-  }
+  detail::set_levels(res, weights, combines);
   res.stats.rounds = n - 1;
   return res;
 }

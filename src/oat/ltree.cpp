@@ -1,12 +1,44 @@
 // Shared l-tree machinery: leaf levels from a combine forest, the O(n^2)
 // DP oracle, and phase 2 (levels -> explicit alphabetic tree).
+#include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "src/oat/oat.hpp"
 
 namespace cordon::oat {
+
+void detail::check_weights(const std::vector<double>& weights) {
+  double magnitude = 0;
+  for (double w : weights) magnitude += std::abs(w);
+  if (!std::isfinite(magnitude))
+    throw std::invalid_argument(
+        "oat: weights must be finite, with a finite sum of magnitudes");
+}
+
+void detail::set_levels(OatResult& res, const std::vector<double>& weights,
+                        std::span<const Combine> combines) {
+  const std::size_t n = weights.size();
+  // A combine's node is made after its children, so a reverse pass
+  // assigns depths top-down.
+  std::vector<std::uint32_t> depth(n + combines.size(), 0);
+  for (std::size_t k = combines.size(); k > 0; --k) {
+    const std::uint32_t d = depth[n + k - 1] + 1;
+    depth[combines[k - 1].left] = d;
+    depth[combines[k - 1].right] = d;
+  }
+  depth.resize(n);
+  res.levels = std::move(depth);
+  res.cost = 0;
+  res.height = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    res.cost += weights[i] * res.levels[i];
+    res.height = std::max(res.height, res.levels[i]);
+  }
+}
 
 double oat_dp_cost(const std::vector<double>& weights) {
   // D[i][j] = optimal cost of an alphabetic tree over leaves i..j-1

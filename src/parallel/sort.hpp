@@ -1,14 +1,18 @@
 // Parallel stable merge sort and helpers.
 //
-// Used for the (i asc, j desc) ordering of match pairs in the parallel LCS
-// (Sec. 3), the reinsertion step of the parallel OAT (Appendix A), and by
-// tests.  The merge is the classic D&C parallel merge: split the larger
-// half at its midpoint, binary-search the split point in the other half,
-// recurse on both sides in parallel — O(n) work, O(log^2 n) span.
+// oat_parallel sorts each round's parents into their reinsertion slots
+// with it (src/oat/oat_parallel.cpp); test_primitives, test_edge_cases
+// and bench_micro_structures exercise it directly.  The merge is the
+// classic D&C parallel merge: split the larger half at its midpoint,
+// binary-search the split point in the other half, recurse on both sides
+// in parallel — O(n) work, O(log^2 n) span.  Below kSortCutoff elements
+// the same merge sort runs inline, down to insertion-sorted runs, so a
+// sort given its scratch buffer allocates nothing.
 #pragma once
 
 #include <algorithm>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "src/parallel/scheduler.hpp"
@@ -18,6 +22,7 @@ namespace cordon::parallel {
 namespace detail {
 
 inline constexpr std::size_t kSortCutoff = 4096;
+inline constexpr std::size_t kInsertionCutoff = 16;
 
 template <typename It, typename Out, typename Less>
 void merge_par(It a_lo, It a_hi, It b_lo, It b_hi, Out out, const Less& less) {
@@ -48,15 +53,27 @@ void merge_par(It a_lo, It a_hi, It b_lo, It b_hi, Out out, const Less& less) {
 template <typename T, typename Less>
 void sort_rec(T* data, T* buffer, std::size_t n, const Less& less,
               bool data_is_dest) {
-  if (n <= kSortCutoff) {
-    std::stable_sort(data, data + n, less);
+  if (n <= kInsertionCutoff) {
+    for (std::size_t i = 1; i < n; ++i) {
+      T v = data[i];
+      std::size_t j = i;
+      for (; j > 0 && less(v, data[j - 1]); --j) data[j] = data[j - 1];
+      data[j] = v;
+    }
     if (!data_is_dest) std::copy(data, data + n, buffer);
     return;
   }
   std::size_t mid = n / 2;
-  par_do([&] { sort_rec(data, buffer, mid, less, !data_is_dest); },
-         [&] { sort_rec(data + mid, buffer + mid, n - mid, less,
-                        !data_is_dest); });
+  auto left = [&] { sort_rec(data, buffer, mid, less, !data_is_dest); };
+  auto right = [&] {
+    sort_rec(data + mid, buffer + mid, n - mid, less, !data_is_dest);
+  };
+  if (n <= kSortCutoff) {
+    left();
+    right();
+  } else {
+    par_do(left, right);
+  }
   // After recursion the sorted halves live in the *other* array.
   T* src = data_is_dest ? buffer : data;
   T* dst = data_is_dest ? data : buffer;
@@ -65,23 +82,19 @@ void sort_rec(T* data, T* buffer, std::size_t n, const Less& less,
 
 }  // namespace detail
 
-/// Stable parallel sort.
-template <typename T, typename Less = std::less<T>>
-void sort(std::vector<T>& v, Less less = Less{}) {
-  if (v.size() <= detail::kSortCutoff) {
-    std::stable_sort(v.begin(), v.end(), less);
-    return;
-  }
-  std::vector<T> buffer(v.size());
+/// Stable parallel sort of `v`, with `buffer` (at least v.size()
+/// elements) as scratch.
+template <typename T, typename Less>
+void sort(std::span<T> v, std::span<T> buffer, const Less& less) {
   detail::sort_rec(v.data(), buffer.data(), v.size(), less,
                    /*data_is_dest=*/true);
 }
 
-/// Sorted copy.
+/// Stable parallel sort.
 template <typename T, typename Less = std::less<T>>
-std::vector<T> sorted(std::vector<T> v, Less less = Less{}) {
-  sort(v, less);
-  return v;
+void sort(std::vector<T>& v, Less less = Less{}) {
+  std::vector<T> buffer(v.size());
+  sort(std::span<T>(v), std::span<T>(buffer), less);
 }
 
 }  // namespace cordon::parallel

@@ -280,7 +280,7 @@ TEST(Chaos, SeededFaultPlansYieldOnlyTypedOutcomesAndLinearLineages) {
                          .with(S::kJournalIo, 20'000)
                          .with(S::kWorkerWake, 1'000)},
   };
-  const std::uint64_t injected_before = cf::injected_total();
+  std::uint64_t injected = 0;
   for (const NamedPlan& np : plans) {
     SCOPED_TRACE(np.name);
     fs::path dir = scratch_dir(std::string("plan-") + np.name);
@@ -292,11 +292,14 @@ TEST(Chaos, SeededFaultPlansYieldOnlyTypedOutcomesAndLinearLineages) {
     EXPECT_EQ(t.total(), 3u * 20u);
     chaos_sessions(dir, /*n_sessions=*/2, /*target_appends=*/4);
     fs::remove_all(dir);
+    // arm() zeroes the counters, so read this plan's count while it is
+    // still armed.
+    injected += cf::injected_total();
   }
   // The plans must have actually bitten — a chaos suite whose faults
   // never fire proves nothing.  (Per-plan counts vary with thread
-  // interleaving; the aggregate over 8 plans cannot be zero.)
-  EXPECT_GT(cf::injected_total(), injected_before);
+  // interleaving; the sum over 8 plans cannot be zero.)
+  EXPECT_GT(injected, 0u);
 }
 
 // --- durable recovery -------------------------------------------------------

@@ -1,10 +1,14 @@
-// OAT: Garsia-Wachs vs interval-DP oracle, parallel vs sequential l-tree
-// equivalence (Larmore: any locally minimal pair gives the same l-tree),
-// phase-2 reconstruction, and the Lemma 5.1 height bound.
+// OAT: Garsia-Wachs vs interval-DP oracle, parallel vs sequential
+// (Larmore: combining any disjoint locally minimal pairs gives the same
+// cost, and the same l-tree unless weights or pair sums tie), phase-2
+// reconstruction, work growth per doubling of n, and the Lemma 5.1
+// height bound.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "src/oat/huffman.hpp"
@@ -140,6 +144,16 @@ TEST(Oat, ParallelRoundsArePolylogarithmic) {
   EXPECT_EQ(pv.levels.size(), n);
 }
 
+TEST(Oat, ParallelMatchesSequentialLevelsAtScale) {
+  // Rounds on 4096 or more nodes fork, and their packs span several
+  // blocks.  Real-valued weights do not tie, so both bodies build the
+  // same l-tree.
+  for (std::size_t n : {5000, 20000}) {
+    auto w = random_weights(n, 21, 1.0, 100.0);
+    EXPECT_EQ(oat_parallel(w).levels, oat_garsia_wachs(w).levels) << n;
+  }
+}
+
 TEST(Oat, IncreasingInputDrainsInHeightRounds) {
   // A fully sorted input hits the drain immediately: rounds == combine
   // dependency depth, which Lemma A.1 ties to the subtree-weight
@@ -197,6 +211,73 @@ TEST(Oat, SawtoothAdversarialStillExact) {
   auto pv = oat_parallel(w);
   EXPECT_EQ(gw.levels, pv.levels);
   EXPECT_LT(pv.stats.rounds, n / 2);
+}
+
+TEST(Oat, TiedWeightsKeepTheOptimalCost) {
+  // With ties the two bodies may build different l-trees of equal cost.
+  // The smallest such input found:
+  const std::vector<double> small{1, 1, 1, 2, 2, 1};
+  auto gw = oat_garsia_wachs(small);
+  auto pv = oat_parallel(small);
+  EXPECT_EQ(gw.levels, (std::vector<std::uint32_t>{3, 3, 2, 2, 3, 3}));
+  EXPECT_EQ(pv.levels, (std::vector<std::uint32_t>{4, 4, 3, 2, 2, 2}));
+  EXPECT_DOUBLE_EQ(gw.cost, 21.0);
+  EXPECT_DOUBLE_EQ(pv.cost, 21.0);
+  EXPECT_DOUBLE_EQ(oat_dp_cost(small), 21.0);
+  // Both parents of the first round weigh 5 and land in one slot;
+  // reinsertion puts the later pair first, so the levels match GW's.
+  EXPECT_EQ(oat_parallel({2, 3, 4, 4, 1}).levels,
+            (std::vector<std::uint32_t>{2, 2, 2, 3, 3}));
+
+  // Weights from {1, 2, 3, 4}: ties everywhere.
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    for (std::size_t n : {2, 3, 5, 9, 17, 40, 100}) {
+      auto w = random_int_weights(n, seed, 4);
+      const double oracle = oat_dp_cost(w);
+      for (const OatResult& r : {oat_garsia_wachs(w), oat_parallel(w)}) {
+        ASSERT_NEAR(r.cost, oracle, 1e-7) << "n=" << n << " seed=" << seed;
+        EXPECT_NO_THROW((void)tree_from_levels(r.levels))
+            << "n=" << n << " seed=" << seed;
+      }
+    }
+  }
+}
+
+TEST(Oat, WorkGrowsAsNLogN) {
+  // Counted work per doubling of n: n log n gives about 2.15x, while a
+  // reinsertion that walks the working list (quadratic) gives 4x.  The
+  // counters are machine-independent, so this needs no cores.
+  for (std::uint64_t seed : {1, 2, 3}) {
+    std::uint64_t prev_gw = 0, prev_par = 0;
+    for (std::size_t n : {4096, 8192, 16384}) {
+      auto w = random_weights(n, seed, 1.0, 100.0);
+      const std::uint64_t gw = oat_garsia_wachs(w).stats.relaxations;
+      const std::uint64_t par = oat_parallel(w).stats.relaxations;
+      if (prev_gw != 0) {
+        EXPECT_LE(static_cast<double>(gw), 2.6 * static_cast<double>(prev_gw))
+            << "garsia_wachs n=" << n << " seed=" << seed;
+        EXPECT_LE(static_cast<double>(par),
+                  2.6 * static_cast<double>(prev_par))
+            << "parallel n=" << n << " seed=" << seed;
+      }
+      prev_gw = gw;
+      prev_par = par;
+    }
+  }
+}
+
+TEST(Oat, RejectsWeightsWhoseSumsAreNotFinite) {
+  // Each weight is finite, but 1e308 + 1e308 overflows to +inf, and a
+  // later sum meets -inf: NaN.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const std::vector<double>& w :
+       {std::vector<double>{1e308, 1e308, -1e308, -1e308, 1, 2},
+        std::vector<double>{1, inf, 2},
+        std::vector<double>{1, std::numeric_limits<double>::quiet_NaN()}}) {
+    EXPECT_THROW((void)oat_garsia_wachs(w), std::invalid_argument);
+    EXPECT_THROW((void)oat_parallel(w), std::invalid_argument);
+    EXPECT_THROW((void)oat_hu_tucker(w), std::invalid_argument);
+  }
 }
 
 TEST(Oat, SingleAndPairInputs) {
