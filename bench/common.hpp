@@ -92,6 +92,20 @@ double min_time_s(int reps, Fn&& fn) {
   return best;
 }
 
+/// Lowest wall-clock seconds of fa() and of fb() over `reps` rounds that
+/// alternate the two (ABAB...), so a slow stretch of the machine hits
+/// both sides of a comparison rather than one.
+template <typename FnA, typename FnB>
+std::pair<double, double> min_time_ab_s(int reps, FnA&& fa, FnB&& fb) {
+  double a = time_s(fa);
+  double b = time_s(fb);
+  for (int r = 1; r < reps; ++r) {
+    a = std::min(a, time_s(fa));
+    b = std::min(b, time_s(fb));
+  }
+  return {a, b};
+}
+
 /// Runs fn twice: parallel (current pool) and forced single-thread.
 /// Returns {parallel_seconds, one_thread_seconds}.
 template <typename Fn>

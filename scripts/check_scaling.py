@@ -5,7 +5,7 @@ to the sequential algorithm, and must beat it once the hardware can.
 Consumes one thread-sweep trajectory produced by scripts/run_benches.sh
 (JSON-lines; every record carries the real worker count the scheduler
 used in its "threads" field) and enforces, for the gated families
-(glws, lis, lcs, gap, oat):
+(glws, lis, lcs, gap, oat, treeglws):
 
   1. Correctness: every record must say verified=1 — a fast wrong
      answer gates nothing.
@@ -24,7 +24,11 @@ used in its "threads" field) and enforces, for the gated families
      their gated points route sequentially and gate 3 checks that the
      routing costs nothing; oat has no floor, so its points run
      `path: parallel` and gate 3 checks a parallel win over
-     Garsia-Wachs.  Each point's printed path shows which algorithm ran.
+     Garsia-Wachs.  treeglws forks its journaled DFS wherever two
+     children hold 4096 nodes or more (src/treeglws/tree_glws.hpp), so
+     its random and binary trees run `path: parallel` against the
+     one-thread DFS, while its path never forks and must cost nothing.
+     Each point's printed path shows which algorithm ran.
 
 Each point also prints, ungated, its speedup over `one_thread_s` (the
 parallel algorithm run inline) next to its speedup over `sequential_s`:
@@ -56,8 +60,10 @@ FAMILIES = {
     "bench_fig6_lcs": "lcs",
     "bench_gap": "gap",
     "bench_oat": "oat",
+    "bench_tree_glws": "treeglws",
 }
-# Fields that tell instances of one n apart (bench_lis: input shape).
+# Fields that tell instances of one n apart (bench_lis, bench_tree_glws:
+# input shape).
 EXTRA_KEYS = ("shape", "k", "L", "cells")
 
 

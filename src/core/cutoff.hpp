@@ -23,15 +23,17 @@
 //
 // Every threshold is overridable per family through the environment
 // (read on each call so tests can flip it at runtime):
-//   CORDON_GLWS_CUTOFF / CORDON_LIS_CUTOFF / CORDON_GAP_CUTOFF /
-//   CORDON_TREEGLWS_CUTOFF  — instance-size cutoffs, 0 disables the
+//   CORDON_GLWS_CUTOFF / CORDON_LIS_CUTOFF / CORDON_GAP_CUTOFF
+//                           — instance-size cutoffs, 0 disables the
 //                             size test (parallelism test still applies)
 //   CORDON_<FAMILY>_MIN_WORKERS — workers below which the family routes
 //                             sequentially regardless of size
 //   CORDON_FUSE_RELAX       — per-round relaxation floor for fusion,
 //                             0 disables fusion
 // lis and lcs run one key-stream core (src/lis/lis.hpp), so the
-// CORDON_LIS_* pair routes both.
+// CORDON_LIS_* pair routes both.  treeglws has no knob: its production
+// DFS forks only at subtrees big enough to pay for a branch
+// (src/treeglws/tree_glws.hpp).
 #pragma once
 
 #include <cstddef>
@@ -51,7 +53,6 @@ namespace cordon::core {
 inline constexpr std::size_t kGlwsSeqCutoff = 2048;      // n states
 inline constexpr std::size_t kLisSeqCutoff = 4096;       // keys: values or match pairs
 inline constexpr std::size_t kGapSeqCutoff = 16384;      // dp cells
-inline constexpr std::size_t kTreeGlwsSeqCutoff = 2048;  // tree nodes
 
 /// Minimum worker count at which each family's parallel path can beat
 /// its sequential algorithm.  A floor is the first measured worker count
@@ -61,8 +62,8 @@ inline constexpr std::size_t kTreeGlwsSeqCutoff = 2048;  // tree nodes
 /// fork/join) glws_parallel took 1.5-4.1 s against 0.22-0.25 s
 /// sequential, so its floor is 8, like lis and lcs (tournament tree vs
 /// the patience loop: lis at n = 2^21 took 0.41 s on 4 workers against
-/// 0.19 s sequential), gap (~6x, staircase probing + row/column
-/// envelope merges) and treeglws.  No 8-core measurement backs the 8;
+/// 0.19 s sequential) and gap (~6x, staircase probing + row/column
+/// envelope merges).  No 8-core measurement backs the 8;
 /// it only says that 4 loses.  Below the family's floor the `*_auto`
 /// entry points route sequentially — that IS the right production
 /// answer on that machine, not a concession.
@@ -70,7 +71,6 @@ inline constexpr std::size_t kTreeGlwsSeqCutoff = 2048;  // tree nodes
 inline constexpr std::size_t kGlwsMinWorkers = 8;
 inline constexpr std::size_t kLisMinWorkers = 8;
 inline constexpr std::size_t kGapMinWorkers = 8;
-inline constexpr std::size_t kTreeGlwsMinWorkers = 8;
 
 /// Reads an environment override for a cutoff; absent/invalid values
 /// fall back to `fallback`.  "0" is a valid override meaning "size test

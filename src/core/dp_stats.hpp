@@ -61,7 +61,7 @@ std::ostream& write_fields(std::ostream& os,
 /// SolveResult so tests and benches can assert which path ran instead
 /// of guessing from timings.
 enum class SolvePath : std::uint8_t {
-  kParallel = 0,          // phase-parallel cordon algorithm
+  kParallel = 0,          // a parallel body ran
   kSequentialCutoff = 1,  // sequential algorithm via the adaptive cutoff
   kResumed = 2,           // incremental re-solve from a session checkpoint
 };

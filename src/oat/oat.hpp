@@ -30,7 +30,11 @@
 // Work counters: stats.states counts combines (Garsia–Wachs) or the
 // working-list length summed over rounds (oat_parallel), and
 // stats.relaxations counts the max-tree nodes the reinsertion searches
-// visit, plus the trigger scan's steps in oat_garsia_wachs.
+// visit, plus the trigger scan's steps in oat_garsia_wachs.  Once
+// oat_parallel's working list is sorted it drains it with Huffman's two
+// queues, and there relaxations counts each parent pushed onto the run
+// of equal-weight parents and each parent later flushed from that run
+// into the queue (at most two per combine).
 //
 // Lemma 5.1 utilities: oat height is O(log W) for positive integer
 // weights of word size W (tests/bench A4 check this).

@@ -126,40 +126,47 @@ void drain_sorted(std::span<const std::uint32_t> leaves, Forest& f,
                   core::AtomicDpStats& stats, core::Arena& arena) {
   const std::size_t m = leaves.size();
   const std::uint32_t first = f.n + f.made;  // the first id made here
-  // combined[ch, ce) is sorted; depth[id - first] is a made node's
-  // combine depth in this phase.
+  // The combined queue is combined[ch, ce) followed by combined[ce, re)
+  // read from the back.  Parent sums never decrease, so reinsertion
+  // (before every equal-weight element) only ever crosses the newest
+  // run of equal-weight parents: that run is the stack [ce, re), newest
+  // on top, and it joins the queue in that order when a heavier parent
+  // arrives.  depth[id - first] is a made node's combine depth here.
   std::span<std::uint32_t> combined = arena.make_span<std::uint32_t>(m - 1);
   std::span<std::uint32_t> depth = arena.make_span<std::uint32_t>(m - 1);
-  std::size_t lh = 0, ch = 0, ce = 0;
+  std::size_t lh = 0, ch = 0, ce = 0, re = 0;
   std::uint32_t max_depth = 0;
+  std::uint64_t moved = 0;  // elements pushed onto the run or flushed
   auto depth_of = [&](std::uint32_t v) {
     return v >= first ? depth[v - first] : 0u;
   };
   auto take = [&]() {
-    bool from_combined =
-        ch < ce && (lh >= m ||
-                    // Ties prefer the combined node: reinsertion places a
-                    // new parent *before* equal-weight elements.
-                    f.w[combined[ch]] <= f.w[leaves[lh]]);
-    return from_combined ? combined[ch++] : leaves[lh++];
+    const bool queued = ch < ce;
+    if (!queued && ce == re) return leaves[lh++];
+    const std::uint32_t c = queued ? combined[ch] : combined[re - 1];
+    // Ties prefer the combined node: reinsertion places a new parent
+    // *before* equal-weight elements.
+    if (lh < m && f.w[leaves[lh]] < f.w[c]) return leaves[lh++];
+    if (queued) return combined[ch++];
+    return combined[--re];
   };
-  while ((m - lh) + (ce - ch) > 1) {
+  while ((m - lh) + (ce - ch) + (re - ce) > 1) {
     std::uint32_t x = take();
     std::uint32_t y = take();
     std::uint32_t z = f.make(x, y);
     depth[z - first] = std::max(depth_of(x), depth_of(y)) + 1;
     max_depth = std::max(max_depth, depth[z - first]);
-    // Insert before any equal-weight combined suffix (sums are
-    // non-decreasing, so z belongs at or near the back).
-    std::size_t at = ce;
-    while (at > ch && f.w[combined[at - 1]] >= f.w[z]) --at;
-    std::copy_backward(combined.begin() + static_cast<std::ptrdiff_t>(at),
-                       combined.begin() + static_cast<std::ptrdiff_t>(ce),
-                       combined.begin() + static_cast<std::ptrdiff_t>(ce + 1));
-    combined[at] = z;
-    ++ce;
+    if (ce < re && f.w[combined[ce]] < f.w[z]) {
+      std::reverse(combined.begin() + static_cast<std::ptrdiff_t>(ce),
+                   combined.begin() + static_cast<std::ptrdiff_t>(re));
+      moved += re - ce;
+      ce = re;
+    }
+    combined[re++] = z;
+    ++moved;
   }
   stats.add_states(m);
+  stats.add_relaxations(moved);
   // The phase's parallel span: one round per combine level.
   for (std::uint32_t r = 1; r < max_depth; ++r) stats.add_round();
   if (max_depth > 1)

@@ -11,6 +11,7 @@ RootedTree::RootedTree(std::vector<std::uint32_t> parent_array)
   const std::size_t n = parent.size();
   if (n >= kNoNode)
     throw std::invalid_argument("tree: more nodes than 32-bit ids hold");
+  bool parents_first = true;  // every parent id below its child's
   for (std::uint32_t v = 0; v < n; ++v) {
     if (parent[v] == kNoNode) {
       if (root != kNoNode)
@@ -22,6 +23,8 @@ RootedTree::RootedTree(std::vector<std::uint32_t> parent_array)
       throw std::invalid_argument("tree: parent " +
                                   std::to_string(parent[v]) + " of node " +
                                   std::to_string(v) + " out of range");
+    } else if (parent[v] >= v) {
+      parents_first = false;
     }
   }
   if (root == kNoNode) throw std::invalid_argument("tree: no root");
@@ -49,6 +52,22 @@ RootedTree::RootedTree(std::vector<std::uint32_t> parent_array)
     height = std::max(height, depth[v]);
   }
   children = core::build_csr(n, n, [&](std::size_t v) { return parent[v]; });
+  // Subtree sizes: add each node to its parent after all of its children
+  // were added to it.  Decreasing ids do that when parents precede their
+  // children (the root is then node 0); otherwise decreasing depths do,
+  // grouped by one counting sort.
+  subtree_size.assign(n, 1);
+  if (parents_first) {
+    for (std::uint32_t v = static_cast<std::uint32_t>(n); v-- > 1;)
+      subtree_size[parent[v]] += subtree_size[v];
+    return;
+  }
+  const core::Csr by_depth = core::build_csr(
+      std::size_t{height} + 1, n, [&](std::size_t v) { return depth[v]; });
+  for (std::size_t k = n; k-- > 1;) {
+    const std::uint32_t v = by_depth.items[k];
+    subtree_size[parent[v]] += subtree_size[v];
+  }
 }
 
 EulerTour build_euler_tour(const RootedTree& tree) {
@@ -80,18 +99,6 @@ EulerTour build_euler_tour(const RootedTree& tree) {
     if (p != kNoNode && et.tout[p] < et.tout[v]) et.tout[p] = et.tout[v];
   }
   return et;
-}
-
-std::vector<std::uint32_t> subtree_sizes(const RootedTree& tree) {
-  EulerTour et = build_euler_tour(tree);
-  std::vector<std::uint32_t> size(tree.size(), 1);
-  // Reverse preorder: children are finished before their parent.
-  for (std::size_t t = tree.size(); t > 0; --t) {
-    std::uint32_t v = et.order[t - 1];
-    std::uint32_t p = tree.parent[v];
-    if (p != kNoNode) size[p] += size[v];
-  }
-  return size;
 }
 
 }  // namespace cordon::structures

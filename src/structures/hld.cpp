@@ -9,7 +9,7 @@ HeavyLightDecomposition::HeavyLightDecomposition(const RootedTree& tree) {
   pos_.assign(n, 0);
   order_.assign(n, 0);
 
-  std::vector<std::uint32_t> size = subtree_sizes(tree);
+  const std::vector<std::uint32_t>& size = tree.subtree_size;
 
   // Heavy child of each node: the child with the largest subtree.
   std::vector<std::uint32_t> heavy(n, kNoNode);

@@ -1,5 +1,5 @@
 // Rooted-tree utilities shared by Tree-GLWS and the tree data structures:
-// adjacency and depths from a parent array, Euler tour, subtree sizes.
+// adjacency, depths and subtree sizes from a parent array, Euler tour.
 #pragma once
 
 #include <cstdint>
@@ -14,11 +14,13 @@ inline constexpr std::uint32_t kNoNode = core::kNoRow;  // 0xffffffff
 /// A rooted tree given by a parent array (parent[root] == kNoNode).
 /// children[v] is a span of v's children in node-index order, stored as
 /// one CSR over the whole tree.  depth[v] counts the edges from the root
-/// to v; height is the largest depth (0 for a lone root).
+/// to v; height is the largest depth (0 for a lone root); subtree_size[v]
+/// counts the nodes of v's subtree, v included.
 struct RootedTree {
   std::vector<std::uint32_t> parent;
   core::Csr children;
   std::vector<std::uint32_t> depth;
+  std::vector<std::uint32_t> subtree_size;
   std::uint32_t height = 0;
   std::uint32_t root = kNoNode;
 
@@ -39,8 +41,5 @@ struct EulerTour {
 };
 
 [[nodiscard]] EulerTour build_euler_tour(const RootedTree& tree);
-
-/// Subtree sizes (iterative, reverse-preorder accumulation).
-[[nodiscard]] std::vector<std::uint32_t> subtree_sizes(const RootedTree& tree);
 
 }  // namespace cordon::structures

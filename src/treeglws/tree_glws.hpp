@@ -11,6 +11,14 @@
 //     convex inserts are undone on backtrack, queries are binary
 //     searches, so one array serves every path (the inherently
 //     sequential baseline the paper describes),
+//   * tree_glws_auto       — the production solve: the same journaled
+//     DFS, forked at heavy subtrees.  Sibling subtrees are independent
+//     once each has its path's decisions, so at a node with two or more
+//     children of at least kForkGrain nodes each, the heaviest child
+//     goes on with the caller's array and every other such child runs
+//     in parallel on a copy of it.  Every node still reads exactly its root
+//     path's decisions, so D, best, states and relaxations equal
+//     tree_glws_sequential's bit for bit at every pool size,
 //   * tree_glws_parallel   — the Cordon Algorithm on trees: rounds of
 //     depth-windowed prefix-doubling (subtree + depth-range extraction
 //     via a 2D range report), sentinels located with find-first searches
@@ -18,7 +26,9 @@
 //     HLD + segment-tree path minima, and per-node best-decision lists
 //     maintained as *persistent treaps* so sibling branches share their
 //     common path prefix (the O(n^2) -> O~(n) space/work reduction of
-//     Sec. 5.3.2).
+//     Sec. 5.3.2).  No production route runs it: it is the paper's
+//     algorithm, kept as the reference the tests and benches time and
+//     check (docs/ARCHITECTURE.md, "Substitutions").
 #pragma once
 
 #include <cstdint>
@@ -30,11 +40,20 @@
 
 namespace cordon::treeglws {
 
+/// The smallest subtree worth a branch of its own: tree_glws_auto forks
+/// at a node with two or more children whose subtrees hold at least this
+/// many nodes.  Of 1024, 4096, 16384 and 32768, 4096 was fastest at
+/// n = 2^20 on 4 cores; at n = 20000 the forked DFS ran 0.98-1.10x as
+/// fast as the plain one on random trees and 1.6-1.8x on binary ones.
+inline constexpr std::uint32_t kForkGrain = 4096;
+
 struct TreeGlwsResult {
   std::vector<double> d;             // D[v]
   std::vector<std::uint32_t> best;   // best ancestor of v (node id)
   core::DpStats stats;
-  core::SolvePath path = core::SolvePath::kParallel;  // set by tree_glws_auto
+  // The journaled DFS sets kParallel when it forked and kSequentialCutoff
+  // otherwise; tree_glws_parallel leaves the default.
+  core::SolvePath path = core::SolvePath::kParallel;
 };
 
 /// O(sum of depths) oracle: scans all ancestors of every node.
@@ -54,11 +73,11 @@ struct TreeGlwsResult {
                                                 const glws::CostFn& w,
                                                 const glws::EFn& e);
 
-/// Production entry point: tree_glws_sequential when effective
-/// parallelism is 1 or the node count is under the adaptive cutoff
-/// (core::kTreeGlwsSeqCutoff, override CORDON_TREEGLWS_CUTOFF),
-/// tree_glws_parallel otherwise.  Routing recorded in
-/// TreeGlwsResult::path.
+/// Production entry point: the journaled DFS, forked at heavy subtrees
+/// unless effective parallelism is 1.  TreeGlwsResult::path is kParallel
+/// when at least one fork ran; otherwise it is kSequentialCutoff (a
+/// path, a star, any tree under 2 * kForkGrain nodes) and
+/// kSolverSeqCutoffs is bumped.
 [[nodiscard]] TreeGlwsResult tree_glws_auto(const structures::RootedTree& t,
                                             double d0, const glws::CostFn& w,
                                             const glws::EFn& e);

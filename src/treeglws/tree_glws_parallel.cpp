@@ -28,7 +28,6 @@
 #include <span>
 
 #include "src/core/arena.hpp"
-#include "src/core/cutoff.hpp"
 #include "src/core/trace.hpp"
 #include "src/parallel/primitives.hpp"
 #include "src/structures/hld.hpp"
@@ -304,20 +303,6 @@ TreeGlwsResult tree_glws_parallel(const RootedTree& t, double d0,
 
   res.stats = stats.snapshot();
   return res;
-}
-
-TreeGlwsResult tree_glws_auto(const structures::RootedTree& t, double d0,
-                              const glws::CostFn& w, const glws::EFn& e) {
-  const std::size_t cutoff = core::cutoff_from_env("CORDON_TREEGLWS_CUTOFF",
-                                                   core::kTreeGlwsSeqCutoff);
-  const std::size_t min_workers = core::cutoff_from_env(
-      "CORDON_TREEGLWS_MIN_WORKERS", core::kTreeGlwsMinWorkers);
-  if (core::use_sequential(t.size(), cutoff, min_workers)) {
-    TreeGlwsResult r = tree_glws_sequential(t, d0, w, e);
-    r.path = core::SolvePath::kSequentialCutoff;
-    return r;
-  }
-  return tree_glws_parallel(t, d0, w, e);
 }
 
 }  // namespace cordon::treeglws
