@@ -2,12 +2,16 @@
 # Runs the Release bench suite across a grid of worker counts and
 # consolidates every bench's machine-readable records
 # (CORDON_BENCH_JSON JSON-lines) into one trajectory file, so
-# successive PRs can prove speedups — and scaling — against the
-# committed baseline (BENCH_PR7.json at the repo root is the current
+# successive changes can prove speedups — and scaling — against the
+# committed baseline (BENCH_PR21.json at the repo root is the current
 # one).  scripts/check_scaling.py consumes the output.
 #
 # Usage:
 #   scripts/run_benches.sh [build-dir] [output.json]
+#
+# The output defaults to <build-dir>/bench_trajectory.json, inside the
+# ignored build directory, so a bare run never overwrites a committed
+# baseline; name a repo-root file explicitly to make a new one.
 #
 # Environment:
 #   CORDON_BENCH_THREADS  space-separated worker-count grid
@@ -32,7 +36,7 @@
 set -euo pipefail
 
 BUILD_DIR="${1:-build-bench}"
-OUT="${2:-BENCH_PR7.json}"
+OUT="${2:-$BUILD_DIR/bench_trajectory.json}"
 
 CORES="$(nproc)"
 if [[ -n "${CORDON_BENCH_THREADS:-}" ]]; then
@@ -75,7 +79,7 @@ trap 'rm -f "$tmp"' EXIT
     "${CORDON_BENCH_N:-default}" \
     "$GAP_N" \
     "$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
-    "$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
+    "$(git describe --always --dirty 2>/dev/null || echo unknown)"
 } > "$tmp"
 
 failed=()

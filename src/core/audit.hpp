@@ -14,8 +14,8 @@
 // generated, which is what the native-bench overhead gate measures.
 //
 // Enablement, first match wins:
-//   * -DCORDON_AUDIT=OFF (CORDON_AUDIT_DISABLED)  -> off everywhere
-//   * -DCORDON_AUDIT=ON  (CORDON_AUDIT_FORCE)     -> on, any build type
+//   * CORDON_AUDIT_FORCE (CMake defines it when CORDON_SANITIZE is set)
+//                                                 -> on, any build type
 //   * Debug builds (no NDEBUG)                    -> on
 //   * ASan/TSan/UBSan compiled in                 -> on
 //   * otherwise (Release/RelWithDebInfo)          -> off
@@ -32,9 +32,7 @@
 #include <cstdlib>
 #include <utility>
 
-#if defined(CORDON_AUDIT_DISABLED)
-#define CORDON_AUDIT_ENABLED 0
-#elif defined(CORDON_AUDIT_FORCE)
+#if defined(CORDON_AUDIT_FORCE)
 #define CORDON_AUDIT_ENABLED 1
 #elif !defined(NDEBUG)
 #define CORDON_AUDIT_ENABLED 1

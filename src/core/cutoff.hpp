@@ -8,36 +8,28 @@
 // when the effective parallelism is below the family's minimum
 // beneficial worker count (single-worker pool, SequentialRegion, or
 // just too few workers to amortize the family's constant factor) or
-// when the instance is below a per-family work threshold.  This is what makes the 1-thread bench series match
-// `sequential_s` for free and keeps small instances out of the
-// scheduler entirely.
+// when the instance is below a per-family work threshold.  This is what
+// makes the 1-thread bench series match `sequential_s` for free and
+// keeps small instances out of the scheduler entirely.
 //
-// A second, finer knob handles the high-round/low-work regime the
+// A second, finer rule handles the high-round/low-work regime the
 // thread sweep exposed (e.g. glws with k ~ n/4: thousands of rounds of
 // ~150 relaxations each, which is pure scheduling overhead at any pool
 // size): round fusion runs an individual round inline — under
 // SequentialRegion, no forks — whenever the previous round's measured
-// relaxation count falls below `fuse_relax_threshold()`.  The solver
-// stays on the parallel path (`SolvePath::kParallel`); fused rounds are
-// only visible in the kSolverFusedRounds telemetry counter.
+// relaxation count falls below `kFuseRelax`.  The solver stays on the
+// parallel path (`SolvePath::kParallel`); fused rounds are only visible
+// in the kSolverFusedRounds telemetry counter.
 //
-// Every threshold is overridable per family through the environment
-// (read on each call so tests can flip it at runtime):
-//   CORDON_GLWS_CUTOFF / CORDON_LIS_CUTOFF / CORDON_GAP_CUTOFF
-//                           — instance-size cutoffs, 0 disables the
-//                             size test (parallelism test still applies)
-//   CORDON_<FAMILY>_MIN_WORKERS — workers below which the family routes
-//                             sequentially regardless of size
-//   CORDON_FUSE_RELAX       — per-round relaxation floor for fusion,
-//                             0 disables fusion
-// lis and lcs run one key-stream core (src/lis/lis.hpp), so the
-// CORDON_LIS_* pair routes both.  treeglws has no knob: its production
-// DFS forks only at subtrees big enough to pay for a branch
-// (src/treeglws/tree_glws.hpp).
+// Routing reads nothing but the effective parallelism and the instance
+// size: the thresholds are the constants below, changed by editing them
+// (docs/SCALING.md has the retune recipe).  lis and lcs run one
+// key-stream core (src/lis/lis.hpp), so the kLis* pair routes both.
+// treeglws has no cutoff: its production DFS forks only at subtrees big
+// enough to pay for a branch (src/treeglws/tree_glws.hpp).
 #pragma once
 
 #include <cstddef>
-#include <cstdlib>
 
 #include "src/core/dp_stats.hpp"
 #include "src/core/telemetry.hpp"
@@ -45,8 +37,8 @@
 
 namespace cordon::core {
 
-/// Per-family default size cutoffs (in the family's own work unit; see
-/// each `*_auto` doc).  Chosen so that, at the measured ~2-3x 1-thread
+/// Per-family size cutoffs (in the family's own work unit; see each
+/// `*_auto` doc).  Chosen so that, at the measured ~2-3x 1-thread
 /// overhead of the parallel paths, an instance below the cutoff cannot
 /// win even on a fully parallel machine once fork/round overhead is
 /// paid.  Tuning guidance lives in docs/SCALING.md.
@@ -67,54 +59,34 @@ inline constexpr std::size_t kGapSeqCutoff = 16384;      // dp cells
 /// it only says that 4 loses.  Below the family's floor the `*_auto`
 /// entry points route sequentially — that IS the right production
 /// answer on that machine, not a concession.
-/// Overrides: CORDON_<FAMILY>_MIN_WORKERS (CORDON_LIS_* for lcs too).
 inline constexpr std::size_t kGlwsMinWorkers = 8;
 inline constexpr std::size_t kLisMinWorkers = 8;
 inline constexpr std::size_t kGapMinWorkers = 8;
 
-/// Reads an environment override for a cutoff; absent/invalid values
-/// fall back to `fallback`.  "0" is a valid override meaning "size test
-/// disabled".  getenv on every call keeps the knob live for tests.
-inline std::size_t cutoff_from_env(const char* env,
-                                   std::size_t fallback) noexcept {
-  if (const char* v = std::getenv(env)) {
-    char* end = nullptr;
-    long parsed = std::strtol(v, &end, 10);
-    if (end != v && parsed >= 0) return static_cast<std::size_t>(parsed);
-  }
-  return fallback;
-}
-
 /// The routing decision: sequential when fewer than `min_workers`
 /// workers are effectively available (a pool the parallel path cannot
-/// win on), or when the instance's work measure is under the (possibly
-/// env-overridden) threshold.  Bumps kSolverSeqCutoffs when it routes
-/// sequentially so telemetry shows the path.
+/// win on), or when the instance's work measure is under `threshold`.
+/// Bumps kSolverSeqCutoffs when it routes sequentially so telemetry
+/// shows the path.
 inline bool use_sequential(std::size_t work, std::size_t threshold,
-                           std::size_t min_workers = 2) noexcept {
+                           std::size_t min_workers) noexcept {
   bool seq = parallel::effective_parallelism() < min_workers ||
-             (threshold > 0 && work < threshold);
+             work < threshold;
   if (seq) telemetry::count(telemetry::Counter::kSolverSeqCutoffs);
   return seq;
 }
 
-/// Default relaxations-per-round floor below which round fusion kicks
-/// in.  A round this light is dominated by fork + frontier-rebuild
-/// overhead at any worker count; running it inline costs at most
-/// threshold relaxations of sequential work per round.
-inline constexpr std::size_t kDefaultFuseRelax = 4096;
-
-/// The live fusion threshold (CORDON_FUSE_RELAX override; 0 disables).
-inline std::size_t fuse_relax_threshold() noexcept {
-  return cutoff_from_env("CORDON_FUSE_RELAX", kDefaultFuseRelax);
-}
+/// Relaxations-per-round floor below which round fusion kicks in.  A
+/// round this light is dominated by fork + frontier-rebuild overhead at
+/// any worker count; running it inline costs at most this many
+/// relaxations of sequential work per round.
+inline constexpr std::size_t kFuseRelax = 4096;
 
 /// Decides whether the NEXT round should run inline, given the measured
 /// relaxation count of the previous round (pass ~SIZE_MAX before the
 /// first round so it never fuses blind).  Bumps kSolverFusedRounds.
-inline bool fuse_round(std::size_t prev_round_relaxations,
-                       std::size_t threshold) noexcept {
-  if (threshold == 0 || prev_round_relaxations >= threshold) return false;
+inline bool fuse_round(std::size_t prev_round_relaxations) noexcept {
+  if (prev_round_relaxations >= kFuseRelax) return false;
   telemetry::count(telemetry::Counter::kSolverFusedRounds);
   return true;
 }

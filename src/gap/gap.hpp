@@ -61,10 +61,10 @@ struct GapResult {
                                      const glws::CostFn& w2,
                                      glws::Shape shape);
 
-/// Production entry point: gap_seq when effective parallelism is 1 or
-/// the grid (n+1)*(m+1) is under the adaptive cutoff
-/// (core::kGapSeqCutoff, override CORDON_GAP_CUTOFF), gap_parallel
-/// otherwise.  The routing decision is recorded in GapResult::path.
+/// Production entry point: gap_seq when effective parallelism is below
+/// core::kGapMinWorkers or the grid (n+1)*(m+1) is under
+/// core::kGapSeqCutoff, gap_parallel otherwise.  The routing decision is
+/// recorded in GapResult::path.
 [[nodiscard]] GapResult gap_auto(const std::vector<std::uint32_t>& a,
                                  const std::vector<std::uint32_t>& b,
                                  const glws::CostFn& w1,

@@ -116,7 +116,6 @@ GapResult gap_parallel(const std::vector<std::uint32_t>& a,
   // a handful of cells per round; forking the row/column envelope loops
   // for that is pure overhead.  The previous round's measured relaxation
   // count decides whether the next round runs inline.
-  const std::size_t fuse_threshold = core::fuse_relax_threshold();
   std::uint64_t prev_round_relax = std::numeric_limits<std::uint64_t>::max();
   // Relaxations as of the last round boundary: one shard sum per round
   // yields both the fusion input and the next round's baseline.
@@ -126,8 +125,7 @@ GapResult gap_parallel(const std::vector<std::uint32_t>& a,
     stats.add_round();
     telemetry::RoundSpan round_span("gap.round", stats);
     std::optional<parallel::SequentialRegion> fuse_guard;
-    if (core::fuse_round(prev_round_relax, fuse_threshold))
-      fuse_guard.emplace();
+    if (core::fuse_round(prev_round_relax)) fuse_guard.emplace();
     core::ArenaScope round_scope(arena);
     // Relaxed atomic caps over a plain arena span via atomic_ref — the
     // CAS loop below is the only cross-thread access.
@@ -336,11 +334,7 @@ GapResult gap_auto(const std::vector<std::uint32_t>& a,
                    const std::vector<std::uint32_t>& b, const glws::CostFn& w1,
                    const glws::CostFn& w2, glws::Shape shape) {
   const std::size_t cells = (a.size() + 1) * (b.size() + 1);
-  const std::size_t cutoff =
-      core::cutoff_from_env("CORDON_GAP_CUTOFF", core::kGapSeqCutoff);
-  const std::size_t min_workers =
-      core::cutoff_from_env("CORDON_GAP_MIN_WORKERS", core::kGapMinWorkers);
-  if (core::use_sequential(cells, cutoff, min_workers)) {
+  if (core::use_sequential(cells, core::kGapSeqCutoff, core::kGapMinWorkers)) {
     GapResult r = gap_seq(a, b, w1, w2, shape);
     r.path = core::SolvePath::kSequentialCutoff;
     return r;

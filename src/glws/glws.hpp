@@ -103,9 +103,9 @@ struct GlwsResult {
                                        Shape shape);
 
 /// Production entry point: glws_sequential when effective parallelism is
-/// 1 or n is under the adaptive cutoff (core::kGlwsSeqCutoff, override
-/// CORDON_GLWS_CUTOFF), glws_parallel otherwise.  The routing decision
-/// is recorded in GlwsResult::path.
+/// below core::kGlwsMinWorkers or n is under core::kGlwsSeqCutoff,
+/// glws_parallel otherwise.  The routing decision is recorded in
+/// GlwsResult::path.
 [[nodiscard]] GlwsResult glws_auto(std::size_t n, double d0, const CostFn& w,
                                    const EFn& e, Shape shape);
 

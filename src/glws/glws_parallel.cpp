@@ -121,7 +121,6 @@ GlwsResult glws_parallel(std::size_t n, double d0, const CostFn& w,
   // Round fusion: a round whose predecessor did almost no work (high-k
   // regimes run thousands of rounds of ~150 relaxations) is dominated by
   // fork and envelope-rebuild overhead; run it inline instead.
-  const std::size_t fuse_threshold = core::fuse_relax_threshold();
   std::uint64_t prev_round_relax = std::numeric_limits<std::uint64_t>::max();
 
   // Relaxations as of the last round boundary: one shard sum per round
@@ -161,7 +160,7 @@ GlwsResult glws_parallel(std::size_t n, double d0, const CostFn& w,
   while (now < n) {
     stats.add_round();
     telemetry::RoundSpan round_span("glws.round", stats);
-    if (core::fuse_round(prev_round_relax, fuse_threshold)) {
+    if (core::fuse_round(prev_round_relax)) {
       parallel::SequentialRegion seq;
       round();
     } else {
@@ -177,11 +176,7 @@ GlwsResult glws_parallel(std::size_t n, double d0, const CostFn& w,
 
 GlwsResult glws_auto(std::size_t n, double d0, const CostFn& w, const EFn& e,
                      Shape shape) {
-  const std::size_t cutoff =
-      core::cutoff_from_env("CORDON_GLWS_CUTOFF", core::kGlwsSeqCutoff);
-  const std::size_t min_workers =
-      core::cutoff_from_env("CORDON_GLWS_MIN_WORKERS", core::kGlwsMinWorkers);
-  if (core::use_sequential(n, cutoff, min_workers)) {
+  if (core::use_sequential(n, core::kGlwsSeqCutoff, core::kGlwsMinWorkers)) {
     GlwsResult r = glws_sequential(n, d0, w, e, shape);
     r.path = core::SolvePath::kSequentialCutoff;
     return r;

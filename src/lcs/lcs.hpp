@@ -86,10 +86,9 @@ struct LcsResult {
 
 /// Production entry point: lcs_sparse_seq when effective parallelism is
 /// below core::kLisMinWorkers or L (the pair count) is under
-/// core::kLisSeqCutoff (overrides CORDON_LIS_MIN_WORKERS /
-/// CORDON_LIS_CUTOFF, shared with lis_auto), lcs_parallel otherwise.
-/// The routing decision is recorded in LcsResult::path.  Both produce
-/// the same pair_dp semantics (LCS value ending at pair p).
+/// core::kLisSeqCutoff (the pair lis_auto routes on), lcs_parallel
+/// otherwise.  The routing decision is recorded in LcsResult::path.
+/// Both produce the same pair_dp semantics (LCS value ending at pair p).
 [[nodiscard]] LcsResult lcs_auto(const std::vector<MatchPair>& pairs);
 [[nodiscard]] LcsResult lcs_auto(const MatchPairsSoA& pairs);
 

@@ -59,7 +59,6 @@ LisResult keys_parallel(std::span<const Key> keys, const char* round_span) {
   // Round fusion: a cordon of few keys (relaxations == frontier size) is
   // not worth forking the scatter for; run such rounds inline.  The
   // previous round's frontier predicts the next one well enough here.
-  const std::size_t fuse_threshold = core::fuse_relax_threshold();
   std::size_t prev_frontier = std::numeric_limits<std::size_t>::max();
   std::uint32_t round = 0;
   while (!tree.empty()) {
@@ -70,7 +69,7 @@ LisResult keys_parallel(std::span<const Key> keys, const char* round_span) {
     stats.add_states(frontier.size());
     stats.add_relaxations(frontier.size());
     std::optional<parallel::SequentialRegion> fused;
-    if (core::fuse_round(prev_frontier, fuse_threshold)) fused.emplace();
+    if (core::fuse_round(prev_frontier)) fused.emplace();
     core::kernels::parallel_scatter_fill(res.dp.data(), frontier.data(),
                                          frontier.size(), round);
     prev_frontier = frontier.size();
@@ -82,11 +81,8 @@ LisResult keys_parallel(std::span<const Key> keys, const char* round_span) {
 
 template <typename Key>
 LisResult keys_auto(std::span<const Key> keys, const char* round_span) {
-  const std::size_t cutoff =
-      core::cutoff_from_env("CORDON_LIS_CUTOFF", core::kLisSeqCutoff);
-  const std::size_t min_workers =
-      core::cutoff_from_env("CORDON_LIS_MIN_WORKERS", core::kLisMinWorkers);
-  if (core::use_sequential(keys.size(), cutoff, min_workers)) {
+  if (core::use_sequential(keys.size(), core::kLisSeqCutoff,
+                           core::kLisMinWorkers)) {
     LisResult r = keys_sequential(keys);
     r.path = core::SolvePath::kSequentialCutoff;
     return r;

@@ -48,10 +48,9 @@ struct LisResult {
 [[nodiscard]] LisResult lis_parallel(const std::vector<std::uint64_t>& a);
 
 /// Production entry point: lis_sequential when effective parallelism is
-/// below core::kLisMinWorkers or n is under core::kLisSeqCutoff
-/// (overrides CORDON_LIS_MIN_WORKERS / CORDON_LIS_CUTOFF), lis_parallel
-/// otherwise.  The decision is recorded in LisResult::path; dp is the
-/// same either way.
+/// below core::kLisMinWorkers or n is under core::kLisSeqCutoff,
+/// lis_parallel otherwise.  The decision is recorded in LisResult::path;
+/// dp is the same either way.
 [[nodiscard]] LisResult lis_auto(const std::vector<std::uint64_t>& a);
 
 /// One longest strictly increasing subsequence (indices into `a`),
@@ -92,7 +91,7 @@ template <typename Key>
 
 /// Cordon rounds: a tournament tree extracts the prefix minima of the
 /// active keys, and round r finalizes exactly the keys with dp = r.
-/// Light rounds run inline (round fusion, core::fuse_relax_threshold).
+/// Light rounds run inline (round fusion, core::kFuseRelax).
 /// `round_span` names each round's trace span.
 template <typename Key>
 [[nodiscard]] LisResult keys_parallel(std::span<const Key> keys,

@@ -1,8 +1,8 @@
 // Parallel stable merge sort and helpers.
 //
 // oat_parallel sorts each round's parents into their reinsertion slots
-// with it (src/oat/oat_parallel.cpp); test_primitives, test_edge_cases
-// and bench_micro_structures exercise it directly.  The merge is the
+// with it (src/oat/oat_parallel.cpp); test_primitives and
+// test_edge_cases exercise it directly.  The merge is the
 // classic D&C parallel merge: split the larger half at its midpoint,
 // binary-search the split point in the other half, recurse on both sides
 // in parallel — O(n) work, O(log^2 n) span.  Below kSortCutoff elements

@@ -16,6 +16,8 @@
 #include "src/engine/batch_executor.hpp"
 #include "src/engine/instance.hpp"
 #include "src/engine/registry.hpp"
+#include "src/lcs/lcs.hpp"
+#include "src/lis/lis.hpp"
 #include "src/parallel/scheduler.hpp"
 #include "test_util.hpp"
 
@@ -128,7 +130,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Engine, DepthReportersAreConsistent) {
   // lis and lcs certify their effective depth as the subsequence length
-  // (Thms 3.1/3.2) on either route, and their parallel path runs exactly
+  // (Thms 3.1/3.2) on either route, and their parallel bodies run exactly
   // that many rounds; kglws's rounds are its depth.  The dag solver
   // computes d^(G) exactly and rounds can only be bounded by it from
   // below... (rounds <= depth for successful-relaxation sentinels, and
@@ -136,20 +138,26 @@ TEST(Engine, DepthReportersAreConsistent) {
   const auto& reg = ce::builtin_registry();
   for (const char* kind : {"lis", "lcs"}) {
     ce::Instance inst = reg.at(kind).generate({120, 6, 9});
-    for (bool parallel : {false, true}) {
-      cordon::testing::ScopedEnv cutoff{"CORDON_LIS_CUTOFF",
-                                        parallel ? "0" : "1000000000"};
-      cordon::testing::ScopedEnv floor{"CORDON_LIS_MIN_WORKERS", "1"};
-      ce::SolveResult r = reg.at(kind).solve(inst);
-      ASSERT_EQ(r.path, parallel ? cordon::core::SolvePath::kParallel
-                                 : cordon::core::SolvePath::kSequentialCutoff)
-          << kind;
-      EXPECT_GE(r.effective_depth, 1u) << kind;
-      EXPECT_EQ(static_cast<double>(r.effective_depth), r.objective) << kind;
-      if (r.path == cordon::core::SolvePath::kParallel) {
-        EXPECT_EQ(r.stats.rounds, r.effective_depth) << kind;
-      }
+    ce::SolveResult r = reg.at(kind).solve(inst);
+    EXPECT_GE(r.effective_depth, 1u) << kind;
+    EXPECT_EQ(static_cast<double>(r.effective_depth), r.objective) << kind;
+    // The instance is under kLisSeqCutoff, so solve() ran the sequential
+    // algorithm; run the rounds directly.
+    EXPECT_EQ(r.path, cordon::core::SolvePath::kSequentialCutoff) << kind;
+    std::uint64_t rounds = 0, length = 0;
+    if (inst.kind == "lis") {
+      auto par = cordon::lis::lis_parallel(inst.as<ce::LisInstance>().values);
+      rounds = par.stats.rounds;
+      length = par.length;
+    } else {
+      const auto& p = inst.as<ce::LcsInstance>();
+      auto par =
+          cordon::lcs::lcs_parallel(cordon::lcs::match_pairs_soa(p.a, p.b));
+      rounds = par.stats.rounds;
+      length = par.length;
     }
+    EXPECT_EQ(length, r.effective_depth) << kind;
+    EXPECT_EQ(rounds, length) << kind;
   }
   ce::Instance kglws = reg.at("kglws").generate({120, 6, 9});
   ce::SolveResult k = reg.at("kglws").solve(kglws);

@@ -1,10 +1,10 @@
 // Kernel oracle tests.
 //
 // Two layers:
-//   1. array-level: every vectorized kernel in core/kernels.hpp against
-//      its scalar reference on randomized inputs — equality is EXACT
-//      (same additions, same `<` reductions, no NaNs), so any divergence
-//      introduced by a vectorization "optimization" fails loudly;
+//   1. array-level: every kernel in core/kernels.hpp against its scalar
+//      reference on randomized inputs — equality is EXACT (same
+//      additions, same `<` reductions, no NaNs), so any divergence
+//      introduced by an "optimization" of a kernel fails loudly;
 //   2. family-level: for all eight DP families plus the explicit DAG,
 //      randomized instances solved through the optimized (kernelized,
 //      SoA, arena-backed) path against the naive reference oracle via
@@ -15,6 +15,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "src/core/cordon.hpp"
@@ -51,6 +52,39 @@ std::vector<double> with_duplicates(std::vector<double> v, std::uint64_t seed) {
   return v;
 }
 
+// The production argmin kernels over f(i) = a[i] + b[i] on [lo, hi),
+// against the scalar oracle run on the same slice.
+kernels::ArgMin oracle_first(const std::vector<double>& a,
+                             const std::vector<double>& b, std::size_t lo,
+                             std::size_t hi) {
+  auto ref =
+      kernels::scalar::argmin_add(a.data() + lo, b.data() + lo, hi - lo);
+  return {ref.value, ref.index + lo};
+}
+
+kernels::ArgMin oracle_last(const std::vector<double>& a,
+                            const std::vector<double>& b, std::size_t lo,
+                            std::size_t hi) {
+  auto ref =
+      kernels::scalar::argmin_add_last(a.data() + lo, b.data() + lo, hi - lo);
+  return {ref.value, ref.index + lo};
+}
+
+void expect_kernels_match_oracles(const std::vector<double>& a,
+                                  const std::vector<double>& b,
+                                  std::size_t lo, std::size_t hi,
+                                  const std::string& what) {
+  auto sum = [&](std::size_t i) { return a[i] + b[i]; };
+  auto first = kernels::argmin_transform(lo, hi, sum);
+  auto want_first = oracle_first(a, b, lo, hi);
+  EXPECT_EQ(first.value, want_first.value) << what;
+  EXPECT_EQ(first.index, want_first.index) << what;
+  auto last = kernels::argmin_transform_last(lo, hi, sum);
+  auto want_last = oracle_last(a, b, lo, hi);
+  EXPECT_EQ(last.value, want_last.value) << what;
+  EXPECT_EQ(last.index, want_last.index) << what;
+}
+
 }  // namespace
 
 TEST(KernelOracle, ArgminAdd) {
@@ -58,19 +92,26 @@ TEST(KernelOracle, ArgminAdd) {
     std::size_t n = 1 + parallel::uniform(seed, 0, 700);
     auto a = with_duplicates(random_doubles(n, seed), seed);
     auto b = with_duplicates(random_doubles(n, seed ^ 0xbeef), seed + 7);
-    auto ref = kernels::scalar::argmin_add(a.data(), b.data(), n);
-    auto got = kernels::argmin_add(a.data(), b.data(), n);
-    EXPECT_EQ(got.value, ref.value) << "seed " << seed;
-    EXPECT_EQ(got.index, ref.index) << "seed " << seed;
+    std::size_t lo = parallel::uniform(seed, 4, n);
+    const std::string what = "seed " + std::to_string(seed);
+    expect_kernels_match_oracles(a, b, 0, n, what);
+    expect_kernels_match_oracles(a, b, lo, n,
+                                 what + " lo " + std::to_string(lo));
   }
 }
 
 TEST(KernelOracle, ArgminAddAllInfinite) {
+  // An all-infinite range: leftmost reports lo, rightmost hi - 1, both
+  // inside [lo, hi) whatever lo is.
   std::vector<double> a(17, kInf), b(17, 1.0);
-  auto ref = kernels::scalar::argmin_add(a.data(), b.data(), a.size());
-  auto got = kernels::argmin_add(a.data(), b.data(), a.size());
-  EXPECT_EQ(got.value, ref.value);
-  EXPECT_EQ(got.index, ref.index);
+  for (std::size_t lo : {0u, 5u, 16u}) {
+    expect_kernels_match_oracles(a, b, lo, a.size(),
+                                 "lo " + std::to_string(lo));
+    auto sum = [&](std::size_t i) { return a[i] + b[i]; };
+    EXPECT_EQ(kernels::argmin_transform(lo, a.size(), sum).index, lo);
+    EXPECT_EQ(kernels::argmin_transform_last(lo, a.size(), sum).index,
+              a.size() - 1);
+  }
 }
 
 TEST(KernelOracle, ArgminAddLast) {
@@ -79,11 +120,17 @@ TEST(KernelOracle, ArgminAddLast) {
     auto a = with_duplicates(random_doubles(n, seed, /*inf_fraction=*/0.2),
                              seed);
     std::vector<double> b(n, 0.25);
-    auto ref = kernels::scalar::argmin_add_last(a.data(), b.data(), n);
-    auto got = kernels::argmin_add_last(a.data(), b.data(), n);
-    EXPECT_EQ(got.value, ref.value) << "seed " << seed;
-    EXPECT_EQ(got.index, ref.index) << "seed " << seed;
+    std::size_t lo = parallel::uniform(seed, 5, n);
+    const std::string what = "seed " + std::to_string(seed);
+    expect_kernels_match_oracles(a, b, 0, n, what);
+    expect_kernels_match_oracles(a, b, lo, n,
+                                 what + " lo " + std::to_string(lo));
   }
+  // A row that is infinite after its first finite entry, and one whose
+  // range starts inside an infinite run.
+  std::vector<double> a{3.0, kInf, kInf, kInf}, b(4, 0.0);
+  expect_kernels_match_oracles(a, b, 0, 4, "finite head");
+  expect_kernels_match_oracles(a, b, 1, 4, "infinite tail");
 }
 
 TEST(KernelOracle, ArgminAddStrided) {

@@ -5,8 +5,10 @@
 #include <algorithm>
 #include <vector>
 
+#include "src/core/cutoff.hpp"
 #include "src/lis/lis.hpp"
 #include "src/parallel/random.hpp"
+#include "src/parallel/scheduler.hpp"
 #include "test_util.hpp"
 
 using cordon::lis::lis_naive;
@@ -90,21 +92,27 @@ TEST(Lis, WitnessIsAValidIncreasingSubsequence) {
 }
 
 TEST(Lis, AutoRecordsItsRouteAndKeepsDp) {
+  // n is above kLisSeqCutoff, so the pool size alone picks the route:
+  // the patience loop below kLisMinWorkers, the rounds at or above it
+  // (test_thread_sweep pins both sides at pool sizes 4 and 8).
   auto a = cordon::testing::random_values(6000, 12, 3000);
+  ASSERT_GE(a.size(), cordon::core::kLisSeqCutoff);
   auto sv = lis_sequential(a);
-  for (bool parallel : {false, true}) {
-    cordon::testing::ScopedEnv cutoff{"CORDON_LIS_CUTOFF",
-                                      parallel ? "0" : "1000000000"};
-    cordon::testing::ScopedEnv floor{"CORDON_LIS_MIN_WORKERS", "1"};
-    auto got = cordon::lis::lis_auto(a);
-    EXPECT_EQ(got.path, parallel ? cordon::core::SolvePath::kParallel
-                                 : cordon::core::SolvePath::kSequentialCutoff);
-    EXPECT_EQ(got.dp, sv.dp);
-    EXPECT_EQ(got.length, sv.length);
-    EXPECT_EQ(got.stats.states, a.size());
-    EXPECT_EQ(got.stats.relaxations, a.size());
-    EXPECT_EQ(got.stats.rounds, parallel ? sv.length : 0u);
+  const bool parallel = cordon::parallel::effective_parallelism() >=
+                        cordon::core::kLisMinWorkers;
+  auto got = cordon::lis::lis_auto(a);
+  auto pv = lis_parallel(a);
+  EXPECT_EQ(got.path, parallel ? cordon::core::SolvePath::kParallel
+                               : cordon::core::SolvePath::kSequentialCutoff);
+  EXPECT_EQ(pv.path, cordon::core::SolvePath::kParallel);
+  for (const auto* r : {&got, &pv}) {
+    EXPECT_EQ(r->dp, sv.dp);
+    EXPECT_EQ(r->length, sv.length);
+    EXPECT_EQ(r->stats.states, a.size());
+    EXPECT_EQ(r->stats.relaxations, a.size());
   }
+  EXPECT_EQ(got.stats.rounds, parallel ? sv.length : 0u);
+  EXPECT_EQ(pv.stats.rounds, sv.length);
 }
 
 TEST(Lis, SequentialWorkIsOnePerState) {

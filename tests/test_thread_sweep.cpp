@@ -2,22 +2,28 @@
 //
 // The scaling harness (scripts/run_benches.sh + check_scaling.py)
 // proves the parallel paths get FASTER with workers; this suite proves
-// they never get WRONG: every registered family, solved at pool sizes
-// {1, 2, 4, 8}, matches the naive reference oracle; its work counts
-// (states, relaxations, rounds) are identical at every pool size and
-// across repeated solves; and the adaptive sequential cutoff
-// (src/core/cutoff.hpp) and round fusion route instances between paths
-// without changing a single answer.  treeglws's forked DFS must equal its
-// one-thread DFS bit for bit on every tree shape and pool size.
+// they never get WRONG: every registered family, solved on its
+// production route at pool sizes {1, 2, 4, 8}, matches the naive
+// reference oracle; the four routed families' parallel bodies
+// (glws_parallel, lis_parallel, lcs_parallel, gap_parallel), called
+// directly, match it too, and their work counts (states, relaxations,
+// rounds) are identical at every pool size and across repeated solves;
+// routing (src/core/cutoff.hpp) straddles its real size cutoffs at 8
+// workers and routes sequentially below the 8-worker floors; and round
+// fusion, which forks some rounds and runs others inline, changes no
+// answer and no count.  treeglws's forked DFS must equal its one-thread
+// DFS bit for bit on every tree shape and pool size.
 //
 // Ships its own main() (OWN_MAIN): it restarts the scheduler pool
-// between cases (detail::shutdown_pool + set_num_workers) and flips
-// CORDON_* routing knobs with setenv — both process-global, so this
-// binary must own its scheduler lifecycle end to end.
+// between cases (detail::shutdown_pool + set_num_workers), which is
+// process-global, so this binary must own its scheduler lifecycle end
+// to end.  The 8-worker sides of the routing tests need that: every
+// other suite runs on the default pool.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -27,8 +33,11 @@
 #include "src/core/cutoff.hpp"
 #include "src/core/telemetry.hpp"
 #include "src/engine/registry.hpp"
+#include "src/gap/gap.hpp"
 #include "src/glws/costs.hpp"
 #include "src/glws/glws.hpp"
+#include "src/lcs/lcs.hpp"
+#include "src/lis/lis.hpp"
 #include "src/parallel/random.hpp"
 #include "src/parallel/scheduler.hpp"
 #include "src/structures/tree_utils.hpp"
@@ -38,10 +47,13 @@
 namespace cp = cordon::parallel;
 namespace core = cordon::core;
 namespace engine = cordon::engine;
+namespace gap = cordon::gap;
+namespace glws = cordon::glws;
+namespace lcs = cordon::lcs;
+namespace lis = cordon::lis;
 namespace telemetry = cordon::telemetry;
 namespace structures = cordon::structures;
 namespace treeglws = cordon::treeglws;
-using cordon::testing::ScopedEnv;
 
 namespace {
 
@@ -55,21 +67,6 @@ void restart_pool(std::size_t workers) {
   ASSERT_EQ(cp::num_workers(), workers);
 }
 
-// Forces the parallel algorithm regardless of pool size or instance
-// size, so the sweep exercises the real parallel code paths even where
-// production routing would (correctly) choose the sequential algorithm.
-// The CORDON_LIS_* pair routes both lis and lcs.  treeglws has no knob:
-// its engine instances are too small to fork, and the tests below drive
-// its forked DFS and the paper's rounds (tree_glws_parallel) directly.
-struct ForceParallel {
-  ScopedEnv glws_c{"CORDON_GLWS_CUTOFF", "0"};
-  ScopedEnv lis_c{"CORDON_LIS_CUTOFF", "0"};
-  ScopedEnv gap_c{"CORDON_GAP_CUTOFF", "0"};
-  ScopedEnv glws_w{"CORDON_GLWS_MIN_WORKERS", "1"};
-  ScopedEnv lis_w{"CORDON_LIS_MIN_WORKERS", "1"};
-  ScopedEnv gap_w{"CORDON_GAP_MIN_WORKERS", "1"};
-};
-
 // The exact-count contract: states, relaxations and rounds are a
 // property of the instance, never of the schedule that solved it.
 void expect_same_counts(const core::DpStats& got, const core::DpStats& want,
@@ -79,44 +76,243 @@ void expect_same_counts(const core::DpStats& got, const core::DpStats& want,
   EXPECT_EQ(got.rounds, want.rounds) << what;
 }
 
+void expect_same_objective(double got, double want, const std::string& what) {
+  EXPECT_NEAR(got, want, 1e-9 * (1.0 + std::abs(want))) << what;
+}
+
+std::uint64_t counter_since(const telemetry::Snapshot& base,
+                            telemetry::Counter c) {
+  return telemetry::snapshot().delta_since(base).counter(c);
+}
+
+// One solve of a routed family: its answer and its work.
+struct Solved {
+  double objective = 0;
+  core::DpStats stats;
+};
+
+// A routed family's input bound to its entry points: the paper's
+// parallel rounds, called directly whatever the pool size, and the
+// sequential algorithm whose answers they must match.
+struct Bodies {
+  std::function<Solved()> parallel, sequential;
+};
+
+Bodies glws_bodies(std::size_t n, double d0, glws::CostFn w,
+                   glws::Shape shape) {
+  const glws::EFn e = glws::identity_e();
+  return {[=] {
+            auto r = glws::glws_parallel(n, d0, w, e, shape);
+            return Solved{r.d.back(), r.stats};
+          },
+          [=] {
+            auto r = glws::glws_sequential(n, d0, w, e, shape);
+            return Solved{r.d.back(), r.stats};
+          }};
+}
+
+Bodies lis_bodies(std::vector<std::uint64_t> values) {
+  auto v = std::make_shared<const std::vector<std::uint64_t>>(
+      std::move(values));
+  return {[v] {
+            auto r = lis::lis_parallel(*v);
+            return Solved{static_cast<double>(r.length), r.stats};
+          },
+          [v] {
+            auto r = lis::lis_sequential(*v);
+            return Solved{static_cast<double>(r.length), r.stats};
+          }};
+}
+
+Bodies lcs_bodies(const std::vector<std::uint32_t>& a,
+                  const std::vector<std::uint32_t>& b) {
+  auto pairs =
+      std::make_shared<const lcs::MatchPairsSoA>(lcs::match_pairs_soa(a, b));
+  return {[pairs] {
+            auto r = lcs::lcs_parallel(*pairs);
+            return Solved{static_cast<double>(r.length), r.stats};
+          },
+          [pairs] {
+            auto r = lcs::lcs_sparse_seq(*pairs);
+            return Solved{static_cast<double>(r.length), r.stats};
+          }};
+}
+
+Bodies gap_bodies(const engine::GapInstance& p) {
+  auto q = std::make_shared<const engine::GapInstance>(p);
+  auto call = [q](auto body) {
+    auto r = body(q->a, q->b, q->w1.make(), q->w2.make(), q->w1.shape());
+    return Solved{r.distance, r.stats};
+  };
+  return {[call] { return call(gap::gap_parallel); },
+          [call] { return call(gap::gap_seq); }};
+}
+
+// The bodies of an engine instance of a routed family.
+Bodies bodies_of(const engine::Instance& inst) {
+  if (inst.kind == "glws") {
+    const auto& p = inst.as<engine::GlwsInstance>();
+    return glws_bodies(p.n, p.d0, p.cost.make(), p.cost.shape());
+  }
+  if (inst.kind == "lis")
+    return lis_bodies(inst.as<engine::LisInstance>().values);
+  if (inst.kind == "lcs") {
+    const auto& p = inst.as<engine::LcsInstance>();
+    return lcs_bodies(p.a, p.b);
+  }
+  return gap_bodies(inst.as<engine::GapInstance>());
+}
+
+constexpr const char* kRouted[] = {"glws", "lis", "lcs", "gap"};
+
+// A routed family's size cutoff, in the work unit of work_of.
+std::size_t cutoff_of(const std::string& key) {
+  if (key == "glws") return core::kGlwsSeqCutoff;
+  if (key == "gap") return core::kGapSeqCutoff;
+  return core::kLisSeqCutoff;  // lis and lcs share one rule
+}
+
+// The work measure a routed family's size cutoff is stated in: glws
+// states, lis keys, lcs match pairs, gap cells.
+std::size_t work_of(const engine::Instance& inst) {
+  if (inst.kind == "glws") return inst.as<engine::GlwsInstance>().n;
+  if (inst.kind == "lis") return inst.as<engine::LisInstance>().values.size();
+  if (inst.kind == "lcs") {
+    const auto& p = inst.as<engine::LcsInstance>();
+    return lcs::match_pairs_soa(p.a, p.b).size();
+  }
+  const auto& p = inst.as<engine::GapInstance>();
+  return (p.a.size() + 1) * (p.b.size() + 1);
+}
+
+// The route Solver::solve must take at `workers` workers.  oat, obst,
+// kglws and dag do not route; a treeglws instance of under 8192 nodes
+// has no subtree big enough to fork at, so its DFS reports the
+// sequential path.
+core::SolvePath production_path(const engine::Instance& inst,
+                                std::size_t workers) {
+  if (inst.kind == "treeglws") return core::SolvePath::kSequentialCutoff;
+  if (std::find(std::begin(kRouted), std::end(kRouted), inst.kind) ==
+      std::end(kRouted))
+    return core::SolvePath::kParallel;
+  // All four families share the floor of 8 workers.
+  static_assert(core::kGlwsMinWorkers == 8 && core::kLisMinWorkers == 8 &&
+                core::kGapMinWorkers == 8);
+  return workers >= 8 && work_of(inst) >= cutoff_of(inst.kind)
+             ? core::SolvePath::kParallel
+             : core::SolvePath::kSequentialCutoff;
+}
+
+// Routed-family instances whose work measure is exactly `work`.
+engine::Instance sized_instance(const std::string& key, std::size_t work,
+                                std::uint64_t seed) {
+  const engine::Solver& solver = engine::builtin_registry().at(key);
+  if (key == "glws" || key == "lis") return solver.generate({work, 5, seed});
+  if (key == "lcs") {
+    // a = 0..work-1 against a shuffle of it: one match pair per symbol.
+    engine::LcsInstance p;
+    p.a.resize(work);
+    for (std::uint32_t i = 0; i < work; ++i) p.a[i] = i;
+    p.b = p.a;
+    for (std::size_t i = work; i > 1; --i)
+      std::swap(p.b[i - 1], p.b[cp::uniform(seed, i, i)]);
+    return {"lcs", p};
+  }
+  // gap: the squarest (|a| + 1) x (|b| + 1) grid of `work` cells, cut
+  // from a generated instance whose b (3/4 of its a) is long enough.
+  std::size_t rows = 1;
+  for (std::size_t r = 1; r * r <= work; ++r)
+    if (work % r == 0) rows = r;
+  engine::Instance inst = solver.generate({2 * (work / rows), 5, seed});
+  auto& p = std::get<engine::GapInstance>(inst.payload);
+  p.a.resize(work / rows - 1);
+  p.b.resize(rows - 1);
+  return inst;
+}
+
+// The sweep's generated instances, seeds 1-3 of every family, with
+// their reference objectives, solved once per process.
+struct Generated {
+  std::string what;
+  engine::Instance inst;
+  double ref;
+};
+
+const std::vector<Generated>& generated() {
+  static const std::vector<Generated> cases = [] {
+    std::vector<Generated> out;
+    for (const auto& solver : engine::builtin_registry().solvers()) {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        engine::Instance inst =
+            solver->generate({93 + 90 * seed, 5, seed * 77});
+        const double ref = solver->solve_reference(inst).objective;
+        out.push_back({std::string(solver->key()) +
+                           " seed=" + std::to_string(seed),
+                       std::move(inst), ref});
+      }
+    }
+    return out;
+  }();
+  return cases;
+}
+
 }  // namespace
 
 TEST(ThreadSweep, AllFamiliesMatchReferenceAtEveryPoolSize) {
-  ForceParallel force;
-  const auto& reg = engine::builtin_registry();
-  ASSERT_EQ(reg.size(), 9u);
-  // Work counts at the first pool size, per (family, seed); every later
-  // pool size solves the same instance and must reproduce them exactly.
-  std::map<std::pair<std::string, std::uint64_t>, core::DpStats> first;
+  ASSERT_EQ(engine::builtin_registry().size(), 9u);
+  // Work counts at the first pool size, per (instance, route); every
+  // later pool size that takes the same route must reproduce them.
+  std::map<std::pair<std::string, core::SolvePath>, core::DpStats> first;
   for (std::size_t workers : {1u, 2u, 4u, 8u}) {
     restart_pool(workers);
-    for (const auto& solver : reg.solvers()) {
-      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-        std::uint64_t n = 93 + 90 * seed;
-        engine::Instance inst = solver->generate({n, 5, seed * 77});
-        engine::SolveResult fast = solver->solve(inst);
-        engine::SolveResult ref = solver->solve_reference(inst);
-        const std::string what = std::string(solver->key()) +
-                                 " workers=" + std::to_string(workers) +
-                                 " seed=" + std::to_string(seed);
-        double tol = 1e-9 * (1.0 + std::abs(ref.objective));
-        EXPECT_NEAR(fast.objective, ref.objective, tol) << what;
-        // A treeglws instance of n <= 363 nodes has no subtree big enough
-        // to fork at, so its DFS reports the sequential path.
-        EXPECT_EQ(fast.path, solver->key() == "treeglws"
-                                 ? core::SolvePath::kSequentialCutoff
-                                 : core::SolvePath::kParallel)
-            << solver->key() << ": ForceParallel must defeat routing";
-        auto [it, inserted] =
-            first.try_emplace({std::string(solver->key()), seed}, fast.stats);
-        if (!inserted) expect_same_counts(fast.stats, it->second, what);
+    for (const Generated& g : generated()) {
+      const engine::Solver& solver = engine::builtin_registry().at(g.inst.kind);
+      engine::SolveResult fast = solver.solve(g.inst);
+      const std::string what = g.what + " workers=" + std::to_string(workers);
+      expect_same_objective(fast.objective, g.ref, what);
+      EXPECT_EQ(fast.path, production_path(g.inst, workers)) << what;
+      auto [it, inserted] = first.try_emplace({g.what, fast.path}, fast.stats);
+      if (!inserted) expect_same_counts(fast.stats, it->second, what);
+    }
+  }
+}
+
+TEST(ThreadSweep, ParallelBodiesMatchReferenceAtEveryPoolSize) {
+  // Production routes these instances sequentially below 8 workers (and
+  // most of them at 8, being under the size cutoffs), so call the
+  // paper's rounds directly: every pool size, and three repeats at 8
+  // workers, match the oracle and repeat the first solve's work counts
+  // exactly.
+  struct Case {
+    const Generated& g;
+    Bodies bodies;
+    core::DpStats first;
+  };
+  std::vector<Case> cases;
+  for (const Generated& g : generated())
+    if (std::find(std::begin(kRouted), std::end(kRouted), g.inst.kind) !=
+        std::end(kRouted))
+      cases.push_back({g, bodies_of(g.inst), {}});
+  ASSERT_EQ(cases.size(), 12u);
+  for (std::size_t workers : {1u, 2u, 4u, 8u}) {
+    restart_pool(workers);
+    for (Case& c : cases) {
+      for (int rep = 0; rep < (workers == 8 ? 3 : 1); ++rep) {
+        const Solved got = c.bodies.parallel();
+        const std::string what = c.g.what + " workers=" +
+                                 std::to_string(workers) +
+                                 " rep=" + std::to_string(rep);
+        expect_same_objective(got.objective, c.g.ref, what);
+        if (workers == 1 && rep == 0)
+          c.first = got.stats;
+        else
+          expect_same_counts(got.stats, c.first, what);
       }
     }
   }
 }
 
 TEST(ThreadSweep, RepeatedParallelSolvesAreDeterministic) {
-  ForceParallel force;
   restart_pool(8);
   const auto& reg = engine::builtin_registry();
   for (const auto& solver : reg.solvers()) {
@@ -129,6 +325,7 @@ TEST(ThreadSweep, RepeatedParallelSolvesAreDeterministic) {
       // into the work counts.
       EXPECT_EQ(first.objective, again.objective)
           << solver->key() << " rep=" << rep;
+      EXPECT_EQ(first.path, again.path) << solver->key() << " rep=" << rep;
       expect_same_counts(again.stats, first.stats,
                          std::string(solver->key()) +
                              " rep=" + std::to_string(rep));
@@ -136,127 +333,146 @@ TEST(ThreadSweep, RepeatedParallelSolvesAreDeterministic) {
   }
 }
 
-TEST(ThreadSweep, CutoffRoutesByInstanceSizeWithIdenticalAnswers) {
+TEST(ThreadSweep, CutoffStraddleBothSidesOfThreshold) {
+  // At 8 workers (the floor of all four families) the size cutoff alone
+  // decides: one unit of work below it routes to the sequential
+  // algorithm and bumps kSolverSeqCutoffs; exactly at it runs the
+  // parallel rounds.  Both sides match the oracle.
   restart_pool(8);
   const auto& reg = engine::builtin_registry();
-  // The four families with an adaptive size cutoff; oat/obst/kglws/dag
-  // have no *_auto routing, and treeglws forks by subtree size.
-  for (const char* key : {"glws", "lis", "lcs", "gap"}) {
+  for (const char* key : kRouted) {
     const engine::Solver& solver = reg.at(key);
-    engine::Instance inst = solver.generate({300, 5, 11});
-    engine::SolveResult seq_routed, par_routed;
-    {
-      // Huge threshold: every instance is "small", sequential path.
-      ScopedEnv glws{"CORDON_GLWS_CUTOFF", "1000000000"};
-      ScopedEnv lis{"CORDON_LIS_CUTOFF", "1000000000"};
-      ScopedEnv gap{"CORDON_GAP_CUTOFF", "1000000000"};
+    const std::size_t cutoff = cutoff_of(key);
+    for (std::size_t work : {cutoff - 1, cutoff}) {
+      engine::Instance inst = sized_instance(key, work, 23);
+      const std::string what =
+          std::string(key) + " work=" + std::to_string(work);
+      ASSERT_EQ(work_of(inst), work) << what;
+      const bool seq = work < cutoff;
       auto base = telemetry::snapshot();
-      seq_routed = solver.solve(inst);
-      EXPECT_EQ(seq_routed.path, core::SolvePath::kSequentialCutoff) << key;
-      // The routing decision is visible in telemetry, not just the
-      // result struct.
-      EXPECT_GE(telemetry::snapshot().delta_since(base).counter(
-                    telemetry::Counter::kSolverSeqCutoffs),
-                1u)
-          << key;
+      engine::SolveResult fast = solver.solve(inst);
+      EXPECT_EQ(counter_since(base, telemetry::Counter::kSolverSeqCutoffs),
+                seq ? 1u : 0u)
+          << what;
+      EXPECT_EQ(fast.path, seq ? core::SolvePath::kSequentialCutoff
+                               : core::SolvePath::kParallel)
+          << what;
+      expect_same_objective(fast.objective,
+                            solver.solve_reference(inst).objective, what);
     }
-    {
-      ForceParallel force;
-      par_routed = solver.solve(inst);
-      EXPECT_EQ(par_routed.path, core::SolvePath::kParallel) << key;
-    }
-    double tol = 1e-9 * (1.0 + std::abs(seq_routed.objective));
-    EXPECT_NEAR(seq_routed.objective, par_routed.objective, tol)
-        << key << ": both routes must agree";
-    engine::SolveResult ref = solver.solve_reference(inst);
-    EXPECT_NEAR(seq_routed.objective, ref.objective,
-                1e-9 * (1.0 + std::abs(ref.objective)))
-        << key;
   }
 }
 
-TEST(ThreadSweep, CutoffStraddleBothSidesOfThreshold) {
-  restart_pool(8);
+TEST(ThreadSweep, WorkerFloorRoutesSequentiallyBelowEight) {
+  // Below the 8-worker floors every routed family runs its sequential
+  // algorithm, however large the instance, and says so in telemetry.
   const auto& reg = engine::builtin_registry();
-  const engine::Solver& solver = reg.at("glws");
-  // Pin the glws threshold between the two instance sizes: n=128 must
-  // route sequentially, n=512 must go parallel, and the answers on both
-  // sides must match the oracle.
-  ScopedEnv cutoff{"CORDON_GLWS_CUTOFF", "256"};
-  ScopedEnv min_workers{"CORDON_GLWS_MIN_WORKERS", "1"};
-  struct Case {
-    std::uint64_t n;
-    core::SolvePath want;
-  } cases[] = {{128, core::SolvePath::kSequentialCutoff},
-               {512, core::SolvePath::kParallel}};
-  for (const Case& c : cases) {
-    engine::Instance inst = solver.generate({c.n, 5, 23});
-    engine::SolveResult fast = solver.solve(inst);
-    EXPECT_EQ(fast.path, c.want) << "n=" << c.n;
-    engine::SolveResult ref = solver.solve_reference(inst);
-    EXPECT_NEAR(fast.objective, ref.objective,
-                1e-9 * (1.0 + std::abs(ref.objective)))
-        << "n=" << c.n;
+  for (std::size_t workers : {1u, 2u, 4u}) {
+    restart_pool(workers);
+    for (const char* key : kRouted) {
+      const engine::Solver& solver = reg.at(key);
+      const std::size_t cutoff = cutoff_of(key);
+      for (std::size_t work : {cutoff, 2 * cutoff}) {
+        engine::Instance inst = sized_instance(key, work, 29);
+        const std::string what = std::string(key) + " workers=" +
+                                 std::to_string(workers) +
+                                 " work=" + std::to_string(work);
+        auto base = telemetry::snapshot();
+        engine::SolveResult fast = solver.solve(inst);
+        EXPECT_EQ(fast.path, core::SolvePath::kSequentialCutoff) << what;
+        EXPECT_EQ(counter_since(base, telemetry::Counter::kSolverSeqCutoffs),
+                  1u)
+            << what;
+        expect_same_objective(fast.objective,
+                              bodies_of(inst).sequential().objective, what);
+      }
+    }
   }
 }
+
+namespace {
+
+// Three stacked decreasing runs of `run` keys, each above the last:
+// three rounds of `run` keys each, so no round is light enough to fuse.
+std::vector<std::uint64_t> stacked_runs(std::uint64_t run) {
+  std::vector<std::uint64_t> v;
+  for (std::uint64_t r = 0; r < 3; ++r)
+    for (std::uint64_t k = run; k > 0; --k) v.push_back(r * run + k);
+  return v;
+}
+
+// A post-office glws instance: `n` villages at random gaps.
+Bodies post_office(std::size_t n, double open_cost) {
+  auto x = std::make_shared<std::vector<double>>(n + 1, 0.0);
+  for (std::size_t i = 1; i <= n; ++i)
+    (*x)[i] = (*x)[i - 1] + 0.5 + cp::uniform_double(7, i);
+  return glws_bodies(n, 0.0, glws::post_office_cost(x, open_cost),
+                     glws::Shape::kConvex);
+}
+
+}  // namespace
 
 TEST(ThreadSweep, RoundFusionDoesNotChangeAnswers) {
-  ForceParallel force;
-  restart_pool(8);
-
-  // glws's engine generator emits single-round instances (the whole
-  // envelope resolves in one cordon), so drive the high-round/low-work
-  // regime fusion targets directly: a cheap post-office opening cost
-  // forces a long best-decision chain, i.e. many light rounds.
-  {
-    namespace glws = cordon::glws;
-    const std::size_t n = 3000;
-    auto x = std::make_shared<std::vector<double>>(n + 1, 0.0);
-    for (std::size_t i = 1; i <= n; ++i)
-      (*x)[i] = (*x)[i - 1] + 0.5 + cp::uniform_double(7, i);
-    glws::CostFn w = glws::post_office_cost(x, 20.0);
-    glws::EFn e = glws::identity_e();
-    glws::GlwsResult fused, unfused;
-    {
-      ScopedEnv fuse{"CORDON_FUSE_RELAX", "0"};  // fusion off
-      unfused = glws::glws_parallel(n, 0.0, w, e, glws::Shape::kConvex);
-    }
-    ASSERT_GT(unfused.stats.rounds, 1u) << "need a multi-round instance";
-    {
-      ScopedEnv fuse{"CORDON_FUSE_RELAX", "1000000000"};
-      auto base = telemetry::snapshot();
-      fused = glws::glws_parallel(n, 0.0, w, e, glws::Shape::kConvex);
-      EXPECT_GE(telemetry::snapshot().delta_since(base).counter(
-                    telemetry::Counter::kSolverFusedRounds),
-                1u);
-    }
-    EXPECT_NEAR(fused.d[n], unfused.d[n],
-                1e-9 * (1.0 + std::abs(unfused.d[n])));
-  }
-
+  // Fusion runs a round inline when the previous one did fewer than
+  // kFuseRelax relaxations.  Per body, one case must fuse a round and
+  // one must fork a round after the first; every case's answer equals
+  // the sequential algorithm's, and its counts and fused rounds at 8
+  // workers equal those at 1.
   const auto& reg = engine::builtin_registry();
-  for (const char* key : {"lis", "lcs", "gap"}) {
-    const engine::Solver& solver = reg.at(key);
-    engine::Instance inst = solver.generate({400, 7, 31});
-    engine::SolveResult fused, unfused;
-    {
-      ScopedEnv fuse{"CORDON_FUSE_RELAX", "0"};  // fusion off
-      unfused = solver.solve(inst);
-    }
-    {
-      // Threshold above any round's relaxation count: every round after
-      // the first runs inline.  Same answers, counter visibly bumped.
-      ScopedEnv fuse{"CORDON_FUSE_RELAX", "1000000000"};
+  // lcs's j stream runs in (i asc, j desc) order, so a = {0, 1, 2}
+  // against b = 5000 zeros, then ones, then twos stacks three
+  // decreasing runs of 5000 positions.
+  std::vector<std::uint32_t> runs_b;
+  for (std::uint32_t s = 0; s < 3; ++s) runs_b.insert(runs_b.end(), 5000, s);
+  struct Case {
+    std::string family, name;
+    Bodies bodies;
+  };
+  const std::vector<Case> cases{
+      // Many light rounds: every round after the first fuses.
+      {"glws", "post-office n=3000 open=20", post_office(3000, 20.0)},
+      // Heavy early rounds fork, the light tail fuses.
+      {"glws", "post-office n=16384 open=1e4", post_office(16384, 1e4)},
+      {"lis", "generated n=400",
+       bodies_of(reg.at("lis").generate({400, 7, 31}))},
+      {"lis", "stacked runs", lis_bodies(stacked_runs(5000))},
+      {"lcs", "generated n=400",
+       bodies_of(reg.at("lcs").generate({400, 7, 31}))},
+      {"lcs", "stacked runs", lcs_bodies({0, 1, 2}, runs_b)},
+      {"gap", "generated n=100",
+       bodies_of(reg.at("gap").generate({100, 7, 31}))},
+  };
+  std::map<std::string, bool> fuses, forks_late;
+  for (const Case& c : cases) {
+    const std::string what = c.family + " " + c.name;
+    const Solved seq = c.bodies.sequential();
+    Solved at1;
+    std::uint64_t fused1 = 0;
+    for (std::size_t workers : {1u, 8u}) {
+      restart_pool(workers);
       auto base = telemetry::snapshot();
-      fused = solver.solve(inst);
-      EXPECT_GE(telemetry::snapshot().delta_since(base).counter(
-                    telemetry::Counter::kSolverFusedRounds),
-                1u)
-          << key;
+      const Solved got = c.bodies.parallel();
+      const std::uint64_t fused =
+          counter_since(base, telemetry::Counter::kSolverFusedRounds);
+      const std::string at = what + " workers=" + std::to_string(workers);
+      ASSERT_GT(got.stats.rounds, 1u) << at;
+      expect_same_objective(got.objective, seq.objective, at);
+      if (workers == 1) {
+        at1 = got;
+        fused1 = fused;
+        continue;
+      }
+      expect_same_counts(got.stats, at1.stats, at);
+      EXPECT_EQ(fused, fused1) << at;
+      fuses[c.family] = fuses[c.family] || fused >= 1;
+      forks_late[c.family] =
+          forks_late[c.family] || fused + 1 < got.stats.rounds;
     }
-    EXPECT_EQ(fused.path, core::SolvePath::kParallel) << key;
-    double tol = 1e-9 * (1.0 + std::abs(unfused.objective));
-    EXPECT_NEAR(fused.objective, unfused.objective, tol) << key;
+  }
+  for (const char* family : kRouted) {
+    EXPECT_TRUE(fuses[family]) << family << ": no case fused a round";
+    EXPECT_TRUE(forks_late[family])
+        << family << ": no case forked a round after the first";
   }
 }
 

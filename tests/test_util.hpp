@@ -1,8 +1,7 @@
 // Shared helpers for the test suite: seeded random inputs, the cost
 // families used across GLWS / GAP / Tree-GLWS tests, the objective
-// comparison tolerance used by the engine/service oracle checks, a
-// scoped override for the CORDON_* routing knobs, and a gated solver
-// that holds the service's dispatcher at a known point.
+// comparison tolerance used by the engine/service oracle checks, and a
+// gated solver that holds the service's dispatcher at a known point.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -10,7 +9,6 @@
 #include <cmath>
 #include <condition_variable>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -29,33 +27,6 @@ inline void expect_objective_near(double got, double want,
   double tol = 1e-6 * std::max(1.0, std::abs(want));
   EXPECT_NEAR(got, want, tol) << what;
 }
-
-/// setenv with restore-on-destruction, so a failing assertion can't
-/// leak a routing override (src/core/cutoff.hpp reads the knobs on every
-/// solve) into later tests.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) {
-      had_ = true;
-      old_ = old;
-    }
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() {
-    if (had_)
-      ::setenv(name_.c_str(), old_.c_str(), 1);
-    else
-      ::unsetenv(name_.c_str());
-  }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  std::string name_;
-  std::string old_;
-  bool had_ = false;
-};
 
 inline std::vector<std::uint64_t> random_values(std::size_t n,
                                                 std::uint64_t seed,
