@@ -7,7 +7,8 @@
 //   * a successful parse respects every declared-size cap;
 //   * serialization is a canonical fixpoint: to_string(parse(text))
 //     parses back to byte-identical canonical text;
-//   * the streaming hash equals the hash of the materialized text;
+//   * the cache key survives the text: the byte key of the parsed
+//     instance equals the byte key of from_string(to_string(parsed));
 //   * a small enough instance (SolveSizeCheck) solves: Solver::solve
 //     returns a result or rejects it with std::invalid_argument.
 #include <cstddef>
@@ -93,9 +94,10 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   FUZZ_ASSERT(engine::to_string(reparsed) == canon,
               "canonical serialization is not a fixpoint");
 
-  // The streaming hash must agree with hashing the materialized bytes.
-  FUZZ_ASSERT(engine::instance_hash(inst) == engine::fnv1a64(canon),
-              "streaming hash diverges from text hash");
+  // A request re-sent through its text must hit the cache entry the
+  // original made.
+  FUZZ_ASSERT(engine::canonical_key(reparsed) == engine::canonical_key(inst),
+              "byte key changed across a text round-trip");
 
   // A parsed instance is a request the service would run: it must solve
   // or be rejected as invalid.  Any other exception escapes this

@@ -190,7 +190,7 @@ inline constexpr std::array<MetricInfo, kNumGauges> kGaugeInfo{{
 /// them in seconds (hence the 1e-9 scale on every bucket bound).
 inline constexpr std::array<MetricInfo, kNumHistograms> kHistogramInfo{{
     {"cordon_service_submit_latency_seconds",
-     "submit() wall time: canonicalize, hash, cache probe, enqueue"},
+     "submit() wall time: byte key, hash, cache probe, enqueue"},
     {"cordon_service_queue_wait_seconds",
      "Admission-to-dispatch wait per request (behind the running batch)"},
     {"cordon_service_batch_solve_seconds",

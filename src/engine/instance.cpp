@@ -1,13 +1,15 @@
 #include "src/engine/instance.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <fstream>
 #include <istream>
 #include <ostream>
 #include <sstream>
-#include <streambuf>
 #include <string_view>
+#include <type_traits>
 
 namespace cordon::engine {
 
@@ -403,77 +405,146 @@ struct SerializeVisitor {
   }
 };
 
-}  // namespace
+// Writes the byte key (instance.hpp, "cache keys").  Run once with a
+// counting sink to size the buffer, then once to fill it, so encoding is
+// one resize and a run of fixed-size copies.
+template <typename Sink>
+struct KeyEncoder {
+  Sink& out;
 
-namespace {
-
-// Sink that FNV-1a-hashes every byte the serializer writes, optionally
-// collecting them too, so hashing needs no intermediate string.
-class HashingBuf final : public std::streambuf {
- public:
-  explicit HashingBuf(std::string* collect) : collect_(collect) {}
-
-  [[nodiscard]] std::uint64_t hash() const { return hash_; }
-
- protected:
-  int_type overflow(int_type ch) override {
-    if (ch != traits_type::eof()) mix(static_cast<char>(ch));
-    return ch;
+  template <typename T>
+  void scalar(T v) const {
+    static_assert(std::is_arithmetic_v<T>);
+    out.put(&v, sizeof v);
+  }
+  template <typename T>
+  void vec(const std::vector<T>& v) const {
+    static_assert(std::is_arithmetic_v<T>);
+    scalar<std::uint64_t>(v.size());
+    out.put(v.data(), v.size() * sizeof(T));
+  }
+  void cost(const CostSpec& c) const {
+    scalar(static_cast<std::underlying_type_t<CostSpec::Family>>(c.family));
+    scalar(c.open);
+    scalar(c.scale);
   }
 
-  std::streamsize xsputn(const char* s, std::streamsize n) override {
-    for (std::streamsize i = 0; i < n; ++i) mix(s[i]);
-    return n;
+  void operator()(const LisInstance& p) const { vec(p.values); }
+  void operator()(const LcsInstance& p) const {
+    vec(p.a);
+    vec(p.b);
+  }
+  void operator()(const GlwsInstance& p) const {
+    scalar(p.n);
+    scalar(p.d0);
+    cost(p.cost);
+  }
+  void operator()(const KglwsInstance& p) const {
+    scalar(p.n);
+    scalar(p.k);
+    cost(p.cost);
+  }
+  void operator()(const GapInstance& p) const {
+    vec(p.a);
+    vec(p.b);
+    cost(p.w1);
+    cost(p.w2);
+  }
+  void operator()(const OatInstance& p) const { vec(p.weights); }
+  void operator()(const ObstInstance& p) const { vec(p.weights); }
+  void operator()(const TreeGlwsInstance& p) const {
+    vec(p.parent);
+    scalar(p.d0);
+    cost(p.cost);
+  }
+  void operator()(const DagInstance& p) const {
+    scalar(p.n);
+    scalar<std::uint8_t>(p.objective == core::Objective::kMin ? 0 : 1);
+    scalar<std::uint64_t>(p.boundary.size());
+    for (auto& [state, value] : p.boundary) {
+      scalar(state);
+      scalar(value);
+    }
+    scalar<std::uint64_t>(p.edges.size());
+    for (const DagInstance::Edge& e : p.edges) {
+      scalar(e.src);
+      scalar(e.dst);
+      scalar(e.weight);
+      scalar<std::uint8_t>(e.effective ? 1 : 0);
+    }
   }
 
- private:
-  void mix(char c) {
-    hash_ = (hash_ ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
-    if (collect_ != nullptr) collect_->push_back(c);
+  void instance(const Instance& inst) const {
+    scalar(static_cast<std::uint8_t>(inst.payload.index()));
+    scalar<std::uint64_t>(inst.kind.size());
+    out.put(inst.kind.data(), inst.kind.size());
+    std::visit(*this, inst.payload);
   }
-
-  std::uint64_t hash_ = 0xcbf29ce484222325ull;  // FNV-1a 64 offset basis
-  std::string* collect_;
 };
 
-}  // namespace
+struct CountSink {
+  std::size_t bytes = 0;
+  void put(const void*, std::size_t n) { bytes += n; }
+};
 
-std::uint64_t instance_hash(const Instance& inst) {
-  HashingBuf buf(nullptr);
-  std::ostream out(&buf);
-  serialize_instance(inst, out);
-  return buf.hash();
+struct CopySink {
+  char* at;
+  void put(const void* src, std::size_t n) {
+    if (n != 0) std::memcpy(at, src, n);
+    at += n;
+  }
+};
+
+std::uint64_t load_word(const char* p) noexcept {
+  std::uint64_t w;
+  std::memcpy(&w, p, sizeof w);
+  return w;
 }
 
-namespace {
-
-// Sink appending to a caller-owned string (capacity reused across calls).
-class AppendBuf final : public std::streambuf {
- public:
-  explicit AppendBuf(std::string& out) : out_(out) {}
-
- protected:
-  int_type overflow(int_type ch) override {
-    if (ch != traits_type::eof()) out_.push_back(static_cast<char>(ch));
-    return ch;
-  }
-
-  std::streamsize xsputn(const char* s, std::streamsize n) override {
-    out_.append(s, static_cast<std::size_t>(n));
-    return n;
-  }
-
- private:
-  std::string& out_;
-};
-
 }  // namespace
 
-void canonical_text_into(const Instance& inst, std::string& out) {
-  out.clear();
-  AppendBuf buf(out);
-  std::ostream os(&buf);
-  serialize_instance(inst, os);
+void canonical_key_into(const Instance& inst, InstanceKey& key) {
+  CountSink count;
+  KeyEncoder<CountSink>{count}.instance(inst);
+  key.text.resize(count.bytes);
+  CopySink copy{key.text.data()};
+  KeyEncoder<CopySink>{copy}.instance(inst);
+  key.hash = key_hash(key.text);
+}
+
+InstanceKey canonical_key(const Instance& inst) {
+  InstanceKey key;
+  canonical_key_into(inst, key);
+  return key;
+}
+
+std::uint64_t key_hash(std::string_view bytes) noexcept {
+  constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ull;
+  auto step = [](std::uint64_t h, std::uint64_t word) {
+    return (std::rotl(h, 29) ^ word) * kMul;
+  };
+  const char* p = bytes.data();
+  std::size_t n = bytes.size();
+  // Four lanes over 32-byte blocks keep four multiplies in flight; one
+  // chain of multiplies would cost a key about four times as long.
+  std::uint64_t lane[4] = {0, 1, 2, 3};
+  for (; n >= 32; p += 32, n -= 32)
+    for (int i = 0; i < 4; ++i) lane[i] = step(lane[i], load_word(p + 8 * i));
+  std::uint64_t h = bytes.size() * kMul;
+  for (std::uint64_t l : lane) h = step(h, l);
+  for (; n >= 8; p += 8, n -= 8) h = step(h, load_word(p));
+  if (n != 0) {
+    std::uint64_t tail = 0;
+    std::memcpy(&tail, p, n);
+    h = step(h, tail);
+  }
+  // murmur3 fmix64
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ull;
+  h ^= h >> 33;
+  return h;
 }
 
 std::uint64_t fnv1a64(std::string_view bytes) noexcept {
@@ -481,15 +552,6 @@ std::uint64_t fnv1a64(std::string_view bytes) noexcept {
   for (char c : bytes)
     hash = (hash ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
   return hash;
-}
-
-InstanceKey canonical_key(const Instance& inst) {
-  InstanceKey key;
-  HashingBuf buf(&key.text);
-  std::ostream out(&buf);
-  serialize_instance(inst, out);
-  key.hash = buf.hash();
-  return key;
 }
 
 void serialize_instance(const Instance& inst, std::ostream& out) {

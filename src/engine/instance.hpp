@@ -146,41 +146,42 @@ struct Instance {
   }
 };
 
-// --- canonicalization & hashing ---------------------------------------------
+// --- cache keys -------------------------------------------------------------
 //
-// The serializer emits a unique, deterministic text form for any payload
-// (fixed key order, fixed vector wrapping, precision-17 doubles), so the
-// serialized text IS the canonical form: two instances are semantically
-// equal iff their canonical texts are byte-identical, and the form is
-// stable across parse/serialize round-trips.  The service layer's result
-// cache keys on the 64-bit FNV-1a hash of that text (cheap shard pick)
-// plus the text itself (exact equality, so a hash collision can never
-// return the wrong cached result).
+// The service's result cache keys on an instance's fields as raw bytes,
+// not on its text.  The key is the payload's alternative index (one
+// byte), the kind, then every field in declaration order: scalars as
+// their object bytes, each vector as a u64 length and its elements, and
+// DagInstance's boundary pairs and edges field by field, so padding never
+// enters the key.  Native byte order: keys live in one process's cache.
+//
+// Equal keys mean equal canonical texts: equal bits print equally, and
+// the length prefixes keep lcs `a=[1,2] b=[3]` apart from `a=[1] b=[2,3]`.
+// Keys tell apart everything the text does (0.0 from -0.0 included), and
+// split only NaNs that differ in payload bits, which the text merges; a
+// split costs one cache miss.  The first byte is below 9, so a key never
+// equals the service's "cordon-session ..." version keys.
 
 struct InstanceKey {
-  std::uint64_t hash = 0;  // FNV-1a 64 of `text`
-  std::string text;        // canonical serialization
+  std::uint64_t hash = 0;  // key_hash(text)
+  std::string text;        // the key's bytes (binary, not wire text)
 
   friend bool operator==(const InstanceKey&, const InstanceKey&) = default;
 };
 
-/// FNV-1a 64 of the canonical text, computed in one streaming pass
-/// without materializing the text.
-[[nodiscard]] std::uint64_t instance_hash(const Instance& inst);
-
-/// Canonical text plus its hash (one serialization pass).
+/// The byte key of `inst` and its hash.
 [[nodiscard]] InstanceKey canonical_key(const Instance& inst);
 
-/// Serializes the canonical text into `out` (cleared first), reusing its
-/// capacity — the zero-allocation-when-warm form of to_string.  The
-/// service's submit path serializes each instance exactly once into a
-/// reused buffer, hashes the bytes with fnv1a64, and compares candidate
-/// cache keys by memcmp against the same buffer.
-void canonical_text_into(const Instance& inst, std::string& out);
+/// canonical_key into `key`, reusing the capacity of `key.text`: a warm
+/// buffer makes keying allocation-free.
+void canonical_key_into(const Instance& inst, InstanceKey& key);
 
-/// FNV-1a 64 over raw bytes — the same function instance_hash streams
-/// through the serializer, exposed so a materialized canonical text
-/// hashes to the identical value.
+/// 64-bit hash of a byte key, eight bytes per step, finished with
+/// murmur3's fmix64 so the high bits (the cache's shard pick) mix too.
+[[nodiscard]] std::uint64_t key_hash(std::string_view bytes) noexcept;
+
+/// FNV-1a 64 over raw bytes: the journal's frame checksums and the
+/// session lineage hash, which both hash wire text.
 [[nodiscard]] std::uint64_t fnv1a64(std::string_view bytes) noexcept;
 
 // --- text round-trip --------------------------------------------------------

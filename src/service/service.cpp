@@ -6,7 +6,6 @@
 #include <span>
 #include <sstream>
 #include <stdexcept>
-#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -62,22 +61,15 @@ std::future<engine::SolveResult> CordonService::submit(engine::Instance inst,
                 std::chrono::steady_clock::now() - submit_t0)
                 .count()));
   };
-  // Hash-first probe, one serialization total: the canonical bytes go
-  // into a thread-local buffer whose capacity is reused across submits
-  // (zero allocation when warm), the 64-bit key hash is computed from
-  // those bytes, and a full-hash bucket hit compares candidates by
-  // straight memcmp against the same buffer.  A cold probe never
-  // compares text at all, and only the miss path copies the buffer into
-  // an owned key.
-  thread_local std::string canonical_buf;
-  engine::canonical_text_into(inst, canonical_buf);
-  engine::InstanceKey key;
-  key.hash = engine::fnv1a64(canonical_buf);
+  // Hash-first probe on the byte key (engine::canonical_key): the key
+  // is encoded into a thread-local buffer whose capacity is reused across
+  // submits (zero allocation when warm).  A cold probe compares no bytes
+  // at all, a hit compares them once, and only the miss path copies the
+  // buffer into an owned key.
+  thread_local engine::InstanceKey probe;
+  engine::canonical_key_into(inst, probe);
   if (cache_ != nullptr) {
-    auto hit = cache_->get_matching(key.hash, [&](std::string_view stored) {
-      return stored == canonical_buf;
-    });
-    if (hit) {
+    if (auto hit = cache_->get(probe.hash, probe.text)) {
       // Fast path: completed future, no queue, no dispatcher wake-up,
       // no service-wide lock.  seq_cst increments in this order let
       // stats() (which reads hit_completed_ before submitted_) never
@@ -90,9 +82,9 @@ std::future<engine::SolveResult> CordonService::submit(engine::Instance inst,
       return ready.get_future();
     }
   }
-  // Miss path: the dispatcher needs an owned copy of the canonical text
-  // (in-batch coalescing, cache insertion).
-  key.text = canonical_buf;
+  // Miss path: the dispatcher needs an owned key (in-batch coalescing,
+  // cache insertion).
+  engine::InstanceKey key = probe;
   // A timeout materializes as an absolute deadline on the request's
   // token (created on demand) so the dispatcher and the solver's
   // round-boundary polls see one coherent clock.
@@ -217,9 +209,12 @@ std::uint64_t CordonService::create_session(engine::Instance base) {
 
   auto session = std::make_shared<Session>();
   session->solver = solver;
-  engine::InstanceKey key = engine::canonical_key(base);
-  session->base_hash = key.hash;
-  session->chain_hash = key.hash;  // lineage hash seeded from the base
+  // The journal stores the base's wire text, and the lineage hash is
+  // seeded from it, so journals recover across changes to the cache key.
+  const std::string base_text = engine::to_string(base);
+  session->base_hash = engine::fnv1a64(base_text);
+  session->chain_hash = session->base_hash;
+  session->base_key = engine::canonical_key(base);
 
   // Base solve on the calling thread (adopting a pool slot so solver
   // forks are stealable), checkpointing resumable state when the family
@@ -239,7 +234,7 @@ std::uint64_t CordonService::create_session(engine::Instance base) {
     // no pinned cache entry, and no journal file left behind.
     try {
       session->journal =
-          SessionJournal::create(opt_.journal_dir, id, base.kind, key.text);
+          SessionJournal::create(opt_.journal_dir, id, base.kind, base_text);
       journal_writes_.fetch_add(1, std::memory_order_relaxed);
     } catch (...) {
       journal_errors_.fetch_add(1, std::memory_order_relaxed);
@@ -247,8 +242,7 @@ std::uint64_t CordonService::create_session(engine::Instance base) {
     }
   }
   if (cache_ != nullptr)
-    cache_->put_pinned(key.hash, key.text, result);
-  session->base_key_text = std::move(key.text);
+    cache_->put_pinned(session->base_key.hash, session->base_key.text, result);
   session->current = std::move(base);
 
   {
@@ -411,7 +405,7 @@ void CordonService::close_session(std::uint64_t id) {
     }
   }
   if (cache_ != nullptr)
-    cache_->unpin(session->base_hash, session->base_key_text);
+    cache_->unpin(session->base_key.hash, session->base_key.text);
   telemetry::gauge_add(telemetry::Gauge::kServiceOpenSessions, -1);
   std::lock_guard lock(stats_mu_);
   ++stats_.sessions_closed;
@@ -480,11 +474,9 @@ std::vector<std::uint64_t> CordonService::recover() {
     }
     auto session = std::make_shared<Session>();
     session->solver = solver;
-    engine::InstanceKey key;
-    key.text = replay->base_text;
-    key.hash = engine::fnv1a64(key.text);
-    session->base_hash = key.hash;
-    session->chain_hash = key.hash;
+    session->base_hash = engine::fnv1a64(replay->base_text);
+    session->chain_hash = session->base_hash;
+    session->base_key = engine::canonical_key(base);
     parallel::ExternalWorkerScope adopt;
     engine::SolveResult base_result;
     if (opt_.use_reference) {
@@ -492,8 +484,9 @@ std::vector<std::uint64_t> CordonService::recover() {
     } else {
       base_result = solver->solve_checkpoint(base, session->state);
     }
-    if (cache_ != nullptr) cache_->put_pinned(key.hash, key.text, base_result);
-    session->base_key_text = key.text;
+    if (cache_ != nullptr)
+      cache_->put_pinned(session->base_key.hash, session->base_key.text,
+                         base_result);
     session->current = std::move(base);
     bool ok = true;
     for (const SessionJournal::ReplayDelta& rd : replay->deltas) {
@@ -807,15 +800,17 @@ void CordonService::run_batch_impl(std::vector<Pending>& taken) {
   core::Arena& arena = core::worker_arena();
   core::ArenaScope assembly(arena);
 
-  // Coalesce: identical canonical texts collapse onto the first
-  // occurrence (the "leader"); one solve serves every duplicate.
+  // Coalesce: identical keys collapse onto the first occurrence (the
+  // "leader"); one solve serves every duplicate.  Requests are matched
+  // on the key hash they already carry, then on the key bytes; the rare
+  // request whose hash matches a different key solves on its own.
   struct Group {
     std::size_t leader;
     std::vector<std::size_t> members;
   };
   core::ArenaVector<Group> groups{core::ArenaAllocator<Group>(arena)};
   {
-    std::unordered_map<std::string_view, std::size_t> by_text;  // -> group
+    std::unordered_map<std::uint64_t, std::size_t> by_hash;  // -> group
     for (std::size_t i = 0; i < taken.size(); ++i) {
       if (taken[i].done) continue;  // already failed in triage
       if (taken[i].token != nullptr) {
@@ -825,11 +820,12 @@ void CordonService::run_batch_impl(std::vector<Pending>& taken) {
         groups.push_back(Group{i, {i}});
         continue;
       }
-      auto [it, fresh] =
-          by_text.try_emplace(std::string_view(taken[i].key.text),
-                              groups.size());
-      if (fresh) groups.push_back(Group{i, {}});
-      groups[it->second].members.push_back(i);
+      const engine::InstanceKey& key = taken[i].key;
+      auto [it, fresh] = by_hash.try_emplace(key.hash, groups.size());
+      if (!fresh && taken[groups[it->second].leader].key.text == key.text)
+        groups[it->second].members.push_back(i);
+      else
+        groups.push_back(Group{i, {i}});
     }
   }
 

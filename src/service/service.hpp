@@ -5,9 +5,11 @@
 // number of client threads and returns a std::future<SolveResult>
 // immediately.  Behind the API:
 //
-//   1. submit() canonicalizes the instance (engine::canonical_key) and
-//      probes the sharded LRU result cache — a hit completes the future
-//      on the spot without touching the solver or the queue.
+//   1. submit() keys the instance on its fields' raw bytes
+//      (engine::canonical_key: one copy and a word-at-a-time hash, no
+//      text) and probes the sharded LRU result cache — a hit is one
+//      byte compare and completes the future on the spot without
+//      touching the solver or the queue.
 //   2. A miss appends the request to the admission queue.  A dedicated
 //      dispatcher thread takes whatever is queued, up to `max_batch`, as
 //      soon as it wakes, so a miss waits only for the batch already
@@ -129,7 +131,7 @@ struct SessionInfo {
   std::uint64_t id = 0;
   std::string kind;
   std::uint64_t version = 0;      // deltas applied so far (base = 0)
-  std::uint64_t base_hash = 0;    // canonical hash of the base instance
+  std::uint64_t base_hash = 0;    // FNV-1a of the base's canonical text
   bool incremental = false;       // family capability (not per-append fate)
   std::uint64_t resumes = 0;      // appends served from saved state
   std::uint64_t cold_solves = 0;  // appends that fell back to a cold solve
@@ -186,8 +188,9 @@ class CordonService {
   // under the restricted update model), via transparent cold fallback
   // otherwise; callers never branch on the capability.  Versions are
   // cached under (base hash, version, delta-chain hash) keys, and the
-  // base's canonical cache entry is PINNED for the session's lifetime so
-  // unrelated traffic cannot evict the lineage's anchor.
+  // base's cache entry (under its byte key, as submit() probes it) is
+  // PINNED for the session's lifetime so unrelated traffic cannot evict
+  // the lineage's anchor.
 
   /// Solves `base` synchronously on the calling thread (checkpointing
   /// resumable state), caches the result pinned, and returns the new
@@ -250,9 +253,9 @@ class CordonService {
     const engine::Solver* solver = nullptr;
     engine::Instance current;     // grown in place, amortized O(append)
     std::uint64_t version = 0;
-    std::uint64_t base_hash = 0;
-    std::string base_key_text;    // canonical base text, for unpin on close
+    std::uint64_t base_hash = 0;  // FNV-1a of the base text (journaled)
     std::uint64_t chain_hash = 0; // running hash over applied delta texts
+    engine::InstanceKey base_key; // the base's pinned cache key
     std::shared_ptr<const engine::SolverState> state;  // null = cold next
     std::uint64_t resumes = 0;
     std::uint64_t cold_solves = 0;

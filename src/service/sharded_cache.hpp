@@ -6,19 +6,16 @@
 // bucket choice) AND is stored alongside every entry as the primary
 // index: a probe walks the (almost always empty or single-element)
 // bucket of entries sharing the full 64-bit hash and only then decides
-// equality on the full key text — so a MISS never touches key bytes at
-// all, and a hit compares text exactly once.  `get_matching` takes the
-// comparison as a callback, which is what lets CordonService probe with
-// a streaming serializer instead of a materialized string: a hash
-// collision can still never return the wrong entry, only cost one extra
-// comparison.
+// equality on the full key bytes — so a MISS never touches key bytes at
+// all, and a hit compares them exactly once.  A hash collision can never
+// return the wrong entry, only cost one extra comparison.
 //
-// The matcher runs OUTSIDE the shard lock: the probe snapshots the
+// The comparison runs OUTSIDE the shard lock: the probe snapshots the
 // candidate keys' shared_ptr handles under the mutex (refcount bumps,
-// no allocation), compares unlocked — the comparison may be a full
-// instance re-serialization, which must not serialize other clients of
-// the shard — and re-locks to refresh recency and copy the value,
-// tolerating a concurrent eviction by reporting a miss.
+// no allocation), compares unlocked — a key can be tens of kilobytes,
+// and comparing it must not serialize other clients of the shard — and
+// re-locks to refresh recency and copy the value, tolerating a
+// concurrent eviction by reporting a miss.
 //
 // Threading: every public method is safe to call concurrently from any
 // number of threads; only one shard's mutex is held at a time and no
@@ -60,18 +57,16 @@ class ShardedLruCache {
   }
 
   /// Hash-first probe: entries whose stored 64-bit hash equals `hash`
-  /// are offered to `matches(stored_key)` — outside the shard lock —
-  /// until one accepts.  Returns a copy of that entry's value
-  /// (refreshing its recency); nullopt when the hash bucket is empty or
-  /// every candidate is rejected.  `matches` is invoked zero times on a
-  /// bucket miss, so the common cold probe costs no key comparison.
-  /// At most kMaxProbe candidates are compared; a 5-way full-64-bit-hash
+  /// are compared with `key` — outside the shard lock — until one
+  /// matches.  Returns a copy of that entry's value (refreshing its
+  /// recency); nullopt when the hash bucket is empty or no candidate
+  /// matches.  A bucket miss compares no key bytes at all.  At most
+  /// kMaxProbe candidates are compared; a 5-way full-64-bit-hash
   /// collision (never, in practice) degrades to a miss, not a wrong
   /// value.  An entry evicted between the snapshot and the re-lock also
   /// reports a miss.
-  template <typename Matcher>
-  [[nodiscard]] std::optional<Value> get_matching(std::uint64_t hash,
-                                                  Matcher&& matches) {
+  [[nodiscard]] std::optional<Value> get(std::uint64_t hash,
+                                         std::string_view key) {
     Shard& s = shard(hash);
     std::array<KeyHandle, kMaxProbe> cand;
     std::size_t n = 0;
@@ -85,12 +80,11 @@ class ShardedLruCache {
         return std::nullopt;
       }
     }
-    // Equality — possibly a full streaming re-serialization — runs with
-    // no lock held; the shared_ptr keeps the key text alive even if the
-    // entry is evicted meanwhile.
+    // The comparison runs with no lock held; the shared_ptr keeps the
+    // key alive even if the entry is evicted meanwhile.
     KeyHandle matched;
     for (std::size_t i = 0; i < n; ++i) {
-      if (matches(std::string_view(*cand[i]))) {
+      if (std::string_view(*cand[i]) == key) {
         matched = cand[i];
         break;
       }
@@ -108,15 +102,6 @@ class ShardedLruCache {
     }
     ++s.stats.misses;
     return std::nullopt;
-  }
-
-  /// Copy of the cached value for (hash, key), refreshing its recency;
-  /// nullopt on miss.
-  [[nodiscard]] std::optional<Value> get(std::uint64_t hash,
-                                         std::string_view key) {
-    return get_matching(hash, [&](std::string_view stored) {
-      return stored == key;
-    });
   }
 
   /// Inserts (or refreshes) (hash, key) -> value, evicting the shard's
@@ -207,7 +192,7 @@ class ShardedLruCache {
     std::uint32_t pins = 0;  // > 0 exempts the entry from eviction
   };
 
-  // The stored hashes are already 64-bit FNV-1a: feed them through.
+  // The stored hashes are full 64-bit hashes already: feed them through.
   struct IdentityHash {
     std::size_t operator()(std::uint64_t h) const noexcept {
       return static_cast<std::size_t>(h);

@@ -243,8 +243,11 @@ class JournaledDfs {
     for (std::uint32_t c : kids)
       if (c != heaviest && !copied(c)) walk(b, c);
     std::vector<Fork> forks;
-    for (std::uint32_t c : kids)
-      if (copied(c)) forks.push_back({c, Branch{.decisions = b.decisions}});
+    for (std::uint32_t c : kids) {
+      if (!copied(c)) continue;
+      forks.push_back({c, Branch{}});
+      forks.back().branch.decisions = b.decisions;
+    }
     if (forks.empty()) {
       walk(b, heaviest);
     } else {

@@ -2,14 +2,16 @@
 //
 // Replaces global operator new with a counting interposer and asserts
 // that a WARM CordonService::submit cache hit performs ZERO heap
-// allocations on the solve/canonicalization path: the measured count per
-// warm hit must be (a) independent of the instance size — proving the
-// hash-first probe never materializes canonical text and no solver code
-// runs — and (b) bounded by the small constant that is entirely
-// std::future/result plumbing (promise shared state, the SolveResult
-// copies handed across it).  Any regression that re-introduces a
-// per-probe canonicalization, a per-probe solver allocation, or an
-// accidental O(n) copy trips one of the two assertions.
+// allocations on the keying/solve path: the measured count per warm hit
+// must be (a) independent of the instance size — proving the probe
+// encodes its byte key into a reused buffer and no solver code runs —
+// and (b) bounded by the small constant that is entirely std::future /
+// result plumbing (promise shared state, the SolveResult copies handed
+// across it).  Any regression that re-introduces a per-probe key buffer,
+// a per-probe solver allocation, or an accidental O(n) copy trips one of
+// the two assertions.  The instances are lis values and dag edges, whose
+// keys grow with n (a glws key is three scalars at any n, so it could
+// not tell a size-dependent probe from a constant one).
 //
 // Own main(): the interposer must own the whole binary, and the pool /
 // service must start exactly where the test dictates.
@@ -77,35 +79,37 @@ std::uint64_t warm_hit_allocs(service::CordonService& svc,
 
 TEST(AllocGate, WarmSubmitHitIsSizeIndependentAndConstant) {
   service::CordonService svc({.max_batch = 8, .cache_capacity = 64});
-  const engine::Solver& glws = engine::builtin_registry().at("glws");
+  for (const char* kind : {"lis", "dag"}) {
+    const engine::Solver& solver = engine::builtin_registry().at(kind);
+    engine::Instance small = solver.generate({256, 4, 11});
+    engine::Instance large = solver.generate({4096, 4, 11});
+    ASSERT_GT(engine::canonical_key(large).text.size(),
+              8 * engine::canonical_key(small).text.size())
+        << kind << ": the two keys must differ in size for (a) to mean "
+                   "anything";
 
-  engine::Instance small = glws.generate({256, 4, 11});
-  engine::Instance large = glws.generate({4096, 4, 11});
+    // Cold solves populate the cache; a first warm round also faults in
+    // every lazy singleton on the path (locale facets, gtest internals)
+    // and grows the thread's key buffer to the larger key.
+    (void)svc.submit(small).get();
+    (void)svc.submit(large).get();
+    (void)warm_hit_allocs(svc, small);
+    (void)warm_hit_allocs(svc, large);
 
-  // Cold solves populate the cache; a first warm round also faults in
-  // every lazy singleton on the path (locale facets, gtest internals).
-  (void)svc.submit(small).get();
-  (void)svc.submit(large).get();
-  (void)warm_hit_allocs(svc, small);
-  (void)warm_hit_allocs(svc, large);
+    const std::uint64_t hits_before = svc.stats().cache.hits;
+    std::uint64_t hit_small = warm_hit_allocs(svc, small);
+    std::uint64_t hit_large = warm_hit_allocs(svc, large);
+    EXPECT_EQ(svc.stats().cache.hits, hits_before + 2) << kind;
 
-  std::uint64_t hit_small = warm_hit_allocs(svc, small);
-  std::uint64_t hit_large = warm_hit_allocs(svc, large);
+    // (a) zero allocations on the keying and solve path: a 16x larger
+    // instance, with a key over 8x longer, makes exactly as many.
+    EXPECT_EQ(hit_small, hit_large) << kind;
 
-  // (a) zero allocations on the solve path: the warm-hit cost cannot
-  // depend on the instance size.  (A 16x larger instance with identical
-  // counts rules out any hidden canonical-text materialization or
-  // per-state work.)
-  EXPECT_EQ(hit_small, hit_large);
-
-  // (b) the remaining constant is future/result plumbing only.  Measured
-  // ~4 on libstdc++; 12 leaves slack for other standard libraries
-  // without letting a real leak (text materialization alone would add
-  // size-dependent allocations) slip through.
-  EXPECT_LE(hit_large, 12u);
-
-  auto stats = svc.stats();
-  EXPECT_GE(stats.cache.hits, 4u);  // every warm probe above hit
+    // (b) the remaining constant is future/result plumbing only.
+    // Measured ~4 on libstdc++; 12 leaves slack for other standard
+    // libraries without letting a real leak slip through.
+    EXPECT_LE(hit_large, 12u) << kind;
+  }
 }
 
 }  // namespace

@@ -4,7 +4,11 @@
 // batch executor.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
+#include <filesystem>
 #include <limits>
 #include <set>
 #include <sstream>
@@ -14,6 +18,7 @@
 
 #include "src/core/cordon.hpp"
 #include "src/engine/batch_executor.hpp"
+#include "src/engine/delta.hpp"
 #include "src/engine/instance.hpp"
 #include "src/engine/registry.hpp"
 #include "src/lcs/lcs.hpp"
@@ -97,21 +102,20 @@ TEST_P(SolverSweep, SerializationRoundTripsExactly) {
                         solver.solve(inst).objective, kind + " round-trip");
 }
 
-TEST_P(SolverSweep, CanonicalHashStableAcrossRoundTrip) {
+TEST_P(SolverSweep, ByteKeyStableAcrossRoundTrip) {
   auto [kind, n, seed] = GetParam();
   const ce::Solver& solver = ce::builtin_registry().at(kind);
   ce::Instance inst = solver.generate({n, /*k=*/4, seed});
 
   ce::InstanceKey key = ce::canonical_key(inst);
-  // The canonical text is exactly the serialized form, and the streaming
-  // hash agrees with hashing the materialized text.
-  EXPECT_EQ(key.text, ce::to_string(inst));
-  EXPECT_EQ(key.hash, ce::instance_hash(inst));
-
-  // Parse -> re-canonicalize is the identity: equal instances hash equal
-  // across serialization round-trips.
-  ce::Instance back = ce::from_string(key.text);
-  EXPECT_EQ(ce::canonical_key(back), key) << kind << " round-trip";
+  EXPECT_EQ(key.hash, ce::key_hash(key.text));
+  // A request re-sent through its wire text keys the same.
+  EXPECT_EQ(ce::canonical_key(ce::from_string(ce::to_string(inst))), key)
+      << kind << " round-trip";
+  // Keying into a buffer that held a longer key gives the same key.
+  ce::InstanceKey reused = ce::canonical_key(solver.generate({2 * n, 4, seed}));
+  ce::canonical_key_into(inst, reused);
+  EXPECT_EQ(reused, key) << kind << " reused buffer";
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -432,9 +436,139 @@ TEST(ExplicitCordon, WellFormedGeneratedDagsNeverReportStuckStates) {
   }
 }
 
-// --- canonicalization & hashing ---------------------------------------------
+// --- cache keys -------------------------------------------------------------
 
-TEST(InstanceHash, DistinctInstancesRarelyCollide) {
+namespace {
+
+/// Every non-hostile instance of the committed corpus, then generated
+/// instances of all nine families: each twice from one seed, plus
+/// near neighbours (another seed, a shorter prefix), so both directions
+/// of "equal keys iff equal texts" meet real pairs.
+std::vector<ce::Instance> key_sample() {
+  std::vector<ce::Instance> out;
+  const std::filesystem::path corpus =
+      std::filesystem::path(__FILE__).parent_path() / "corpus" / "instance";
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry : std::filesystem::directory_iterator(corpus))
+    if (entry.path().extension() == ".inst" &&
+        !entry.path().filename().string().starts_with("hostile_"))
+      files.push_back(entry.path());
+  std::sort(files.begin(), files.end());
+  EXPECT_GE(files.size(), kAllKinds.size()) << corpus;
+  for (const auto& file : files) out.push_back(ce::load_instance(file));
+  for (const std::string& kind : kAllKinds) {
+    const ce::Solver& solver = ce::builtin_registry().at(kind);
+    for (std::uint64_t seed : {5ull, 6ull}) {
+      out.push_back(solver.generate({60, 4, seed}));
+      out.push_back(solver.generate({60, 4, seed}));
+    }
+    if (kind != "dag")  // dag has no prefix form (delta.hpp)
+      out.push_back(ce::prefix_instance(solver.generate({60, 4, 5}), 59));
+  }
+  return out;
+}
+
+/// A dag whose boundary pairs and edges sit on memory filled with
+/// `fill` before their fields are assigned, so only their padding bytes
+/// differ between two fills.
+ce::Instance dag_over(unsigned char fill) {
+  ce::DagInstance d;
+  d.n = 3;
+  d.boundary.resize(1);
+  d.edges.resize(2);
+  std::memset(static_cast<void*>(d.boundary.data()), fill,
+              d.boundary.size() * sizeof(d.boundary[0]));
+  std::memset(static_cast<void*>(d.edges.data()), fill,
+              d.edges.size() * sizeof(ce::DagInstance::Edge));
+  d.boundary[0].first = 0;
+  d.boundary[0].second = 0.5;
+  for (std::uint32_t i = 0; i < 2; ++i) {
+    d.edges[i].src = i;
+    d.edges[i].dst = i + 1;
+    d.edges[i].weight = 1.5 * (i + 1);
+    d.edges[i].effective = i == 0;
+  }
+  return {"dag", std::move(d)};
+}
+
+}  // namespace
+
+TEST(InstanceKey, EqualIffTextsEqualOverCorpusAndGenerated) {
+  std::vector<ce::Instance> sample = key_sample();
+  std::vector<std::string> texts;
+  std::vector<ce::InstanceKey> keys;
+  for (const ce::Instance& inst : sample) {
+    texts.push_back(ce::to_string(inst));
+    keys.push_back(ce::canonical_key(inst));
+  }
+  std::size_t equal_pairs = 0, distinct_pairs = 0;
+  for (std::size_t i = 0; i < sample.size(); ++i) {
+    for (std::size_t j = i + 1; j < sample.size(); ++j) {
+      const bool same_text = texts[i] == texts[j];
+      EXPECT_EQ(keys[i] == keys[j], same_text)
+          << sample[i].kind << " #" << i << " vs " << sample[j].kind << " #"
+          << j;
+      ++(same_text ? equal_pairs : distinct_pairs);
+    }
+    EXPECT_EQ(ce::canonical_key(ce::from_string(texts[i])), keys[i])
+        << sample[i].kind << " #" << i << " round-trip";
+  }
+  EXPECT_GE(equal_pairs, 2 * kAllKinds.size());
+  EXPECT_GT(distinct_pairs, equal_pairs);
+}
+
+TEST(InstanceKey, EdgeRows) {
+  // 0.0 against -0.0: the texts differ ("0" / "-0"), so the keys must.
+  ce::GlwsInstance pos{100, 0.0, {}}, neg{100, -0.0, {}};
+  EXPECT_NE(ce::to_string({"glws", pos}), ce::to_string({"glws", neg}));
+  EXPECT_NE(ce::canonical_key({"glws", pos}), ce::canonical_key({"glws", neg}));
+
+  // NaNs that differ only in payload bits: the text merges them, the
+  // keys do not (a split costs one cache miss, never a wrong answer).
+  const double nan1 = std::bit_cast<double>(0x7ff8000000000001ull);
+  const double nan2 = std::bit_cast<double>(0x7ff8000000000002ull);
+  ce::Instance n1{"oat", ce::OatInstance{{1.0, nan1}}};
+  ce::Instance n2{"oat", ce::OatInstance{{1.0, nan2}}};
+  EXPECT_EQ(ce::to_string(n1), ce::to_string(n2));
+  EXPECT_NE(ce::canonical_key(n1), ce::canonical_key(n2));
+
+  // oat against obst over the same weights.
+  EXPECT_NE(ce::canonical_key({"oat", ce::OatInstance{{1, 2}}}),
+            ce::canonical_key({"obst", ce::ObstInstance{{1, 2}}}));
+
+  // lcs a/b split at different points: the length prefixes keep
+  // a=[1,2] b=[3] apart from a=[1] b=[2,3].
+  EXPECT_NE(ce::canonical_key({"lcs", ce::LcsInstance{{1, 2}, {3}}}),
+            ce::canonical_key({"lcs", ce::LcsInstance{{1}, {2, 3}}}));
+
+  // Empty vectors: still length-prefixed, and still round-trip.
+  EXPECT_NE(ce::canonical_key({"lcs", ce::LcsInstance{{}, {7}}}),
+            ce::canonical_key({"lcs", ce::LcsInstance{{7}, {}}}));
+  EXPECT_NE(ce::canonical_key({"lis", ce::LisInstance{}}),
+            ce::canonical_key({"lis", ce::LisInstance{{0}}}));
+  for (const ce::Instance& empty :
+       {ce::Instance{"lis", ce::LisInstance{}},
+        ce::Instance{"lcs", ce::LcsInstance{}},
+        ce::Instance{"obst", ce::ObstInstance{}},
+        ce::Instance{"dag", ce::DagInstance{}}})
+    EXPECT_EQ(ce::canonical_key(ce::from_string(ce::to_string(empty))),
+              ce::canonical_key(empty))
+        << empty.kind;
+
+  // Padding never enters the key: the same dag over 0xFF- and
+  // zero-filled memory keys the same.
+  ce::Instance ones = dag_over(0xFF), zeros = dag_over(0x00);
+  const auto& e1 = ones.as<ce::DagInstance>().edges;
+  const auto& e0 = zeros.as<ce::DagInstance>().edges;
+  ASSERT_NE(std::memcmp(e1.data(), e0.data(),
+                        e1.size() * sizeof(ce::DagInstance::Edge)),
+            0)
+      << "the two dags must differ in their padding bytes";
+  EXPECT_EQ(ce::to_string(ones), ce::to_string(zeros));
+  EXPECT_EQ(ce::canonical_key(ones), ce::canonical_key(zeros));
+}
+
+TEST(InstanceKey, DistinctInstancesHashApart) {
   // Spot check per family: different seeds (and different kinds) give
   // different hashes.  Collisions are possible only by (2^-64) chance.
   std::set<std::uint64_t> seen;
@@ -442,43 +576,55 @@ TEST(InstanceHash, DistinctInstancesRarelyCollide) {
   for (const std::string& kind : kAllKinds) {
     const ce::Solver& solver = ce::builtin_registry().at(kind);
     for (std::uint64_t seed : {11ull, 12ull, 13ull}) {
-      seen.insert(ce::instance_hash(solver.generate({50, 4, seed})));
+      seen.insert(ce::canonical_key(solver.generate({50, 4, seed})).hash);
       ++generated;
     }
   }
   EXPECT_EQ(seen.size(), generated);
 }
 
-TEST(InstanceHash, SensitiveToEveryField) {
+TEST(InstanceKey, HighBitsPickEveryShard) {
+  // The cache picks a shard from hash >> 48: instances that differ in
+  // one small scalar must still spread over all 16 shards.
+  std::vector<int> per_shard(16, 0);
+  for (std::uint64_t n = 1; n <= 512; ++n) {
+    const ce::InstanceKey key =
+        ce::canonical_key({"glws", ce::GlwsInstance{n, 0.0, {}}});
+    ++per_shard[(key.hash >> 48) % 16];
+  }
+  for (int count : per_shard) EXPECT_GE(count, 10);
+}
+
+TEST(InstanceKey, SensitiveToEveryField) {
   ce::GlwsInstance base{100, 0.5, {ce::CostSpec::Family::kAffine, 1.0, 2.0}};
-  auto hash_of = [](const ce::GlwsInstance& p) {
-    return ce::instance_hash(ce::Instance{"glws", p});
+  auto key = [](const ce::GlwsInstance& p) {
+    return ce::canonical_key({"glws", p});
   };
-  std::uint64_t h0 = hash_of(base);
+  const ce::InstanceKey k0 = key(base);
 
   ce::GlwsInstance m = base;
   m.n = 101;
-  EXPECT_NE(hash_of(m), h0);
+  EXPECT_NE(key(m), k0);
   m = base;
   m.d0 = 0.25;
-  EXPECT_NE(hash_of(m), h0);
+  EXPECT_NE(key(m), k0);
   m = base;
   m.cost.open = 1.5;
-  EXPECT_NE(hash_of(m), h0);
+  EXPECT_NE(key(m), k0);
   m = base;
   m.cost.scale = 2.5;
-  EXPECT_NE(hash_of(m), h0);
+  EXPECT_NE(key(m), k0);
   m = base;
   m.cost.family = ce::CostSpec::Family::kQuadratic;
-  EXPECT_NE(hash_of(m), h0);
+  EXPECT_NE(key(m), k0);
 
-  // The kind participates too: identical payload, different solver.
-  EXPECT_NE(ce::instance_hash(ce::Instance{"oat", ce::OatInstance{{1, 2}}}),
-            ce::instance_hash(ce::Instance{"obst", ce::ObstInstance{{1, 2}}}));
+  // The kind participates too: identical payload, different name.
+  EXPECT_NE(ce::canonical_key({"oat", ce::OatInstance{{1, 2}}}),
+            ce::canonical_key({"oat-copy", ce::OatInstance{{1, 2}}}));
 }
 
-TEST(InstanceHash, EqualPayloadsHashEqual) {
-  // Two independently constructed but identical payloads canonicalize
+TEST(InstanceKey, EqualPayloadsKeyEqual) {
+  // Two independently constructed but identical payloads key
   // identically (no address/ordering leakage).
   ce::Instance a{"lis", ce::LisInstance{{5, 3, 9, 1}}};
   ce::Instance b{"lis", ce::LisInstance{{5, 3, 9, 1}}};

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
 #include <future>
 #include <memory>
 #include <random>
@@ -477,6 +478,60 @@ TEST(Sessions, PinnedBaseSurvivesCachePressure) {
   before = svc.stats().cache;
   (void)svc.submit(base).get();
   EXPECT_EQ(svc.stats().cache.hits, before.hits);
+}
+
+// A journal as written before the cache keyed on bytes: the lineage
+// hash is seeded with FNV-1a of the base's wire text and folds in FNV-1a
+// of each delta's text.  recover() must replay it unpoisoned, report the
+// same base_hash, and pin the base where submit() finds it.
+TEST(Sessions, JournalWithTextLineageHashesRecovers) {
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::temp_directory_path() / "cordon-sessions-text-lineage";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const auto& reg = ce::builtin_registry();
+  const ce::Instance full = reg.at("lis").generate({500, 4, 7});
+  const ce::Instance base = ce::prefix_instance(full, 200);
+  const std::string base_text = ce::to_string(base);
+  const std::uint64_t base_hash = ce::fnv1a64(base_text);
+  constexpr std::uint64_t kId = 41, kVersions = 4;
+  {
+    auto journal =
+        cs::SessionJournal::create(dir.string(), kId, base.kind, base_text);
+    std::uint64_t chain = base_hash;
+    for (std::uint64_t v = 0; v < kVersions; ++v) {
+      const std::string delta_text = ce::to_string(
+          ce::slice_delta(full, 200 + 50 * v, 250 + 50 * v, v));
+      chain = (chain * 1099511628211ull) ^ ce::fnv1a64(delta_text);
+      journal->append_delta(delta_text, v + 1, chain);
+    }
+  }
+
+  {
+    cs::CordonService svc({.journal_dir = dir.string()}, reg);
+    ASSERT_EQ(svc.recover(), std::vector<std::uint64_t>{kId});
+    auto info = svc.session_info(kId);
+    ASSERT_TRUE(info.has_value());
+    EXPECT_FALSE(info->poisoned);
+    EXPECT_TRUE(info->durable);
+    EXPECT_EQ(info->version, kVersions);
+    EXPECT_EQ(info->base_hash, base_hash);
+
+    const std::uint64_t hits = svc.stats().cache.hits;
+    (void)svc.submit(base).get();
+    EXPECT_EQ(svc.stats().cache.hits, hits + 1) << "recovered base not pinned "
+                                                   "under submit()'s key";
+
+    // The lineage goes on where the journal left it.
+    ce::SolveResult grown =
+        svc.append(kId, ce::slice_delta(full, 400, 500, kVersions)).get();
+    expect_objective_near(grown.objective,
+                          reg.at("lis").solve(full).objective,
+                          "recovered lineage");
+    svc.close_session(kId);
+  }
+  fs::remove_all(dir);
 }
 
 TEST(Sessions, StatsAndMetricsDistinguishResumeFromCold) {
