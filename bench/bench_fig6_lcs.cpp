@@ -63,8 +63,8 @@ int main() {
     std::size_t total = n * l_mult;
     for (std::size_t k = 64; k <= n / 16; k *= 8) {
       auto aos = banded_pairs(n, total, k, 42 + k);
-      // The solvers consume the SoA form (split once, outside timings —
-      // match_pairs_soa produces it directly on the real pipeline).
+      // The solvers consume the SoA form (split once, outside timings;
+      // Solver::solve builds the j stream alone with match_pairs_j).
       lcs::MatchPairsSoA pairs;
       pairs.i.reserve(aos.size());
       pairs.j.reserve(aos.size());
@@ -77,7 +77,7 @@ int main() {
       // size — the series the scaling gate reads.
       lcs::LcsResult auto_res;
       double auto_s =
-          bench::min_time_s(kReps, [&] { auto_res = lcs::lcs_auto(pairs); });
+          bench::min_time_s(kReps, [&] { auto_res = lcs::lcs_auto(pairs.j); });
       // The paper's "ours (1 thread)": the raw parallel algorithm inline.
       lcs::LcsResult par_res;
       double one;

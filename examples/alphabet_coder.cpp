@@ -57,7 +57,7 @@ int main() {
   AlphabeticTree tree = tree_from_levels(oat.levels);
   std::vector<std::string> codes(freq.size());
   if (freq.size() == 1) {
-    codes[0] = "0";
+    codes[0].push_back('0');  // = "0" trips gcc 12's false -Wrestrict
   } else {
     codeword(tree, ~static_cast<std::int32_t>(tree.num_internal() - 1), "",
              codes);

@@ -53,9 +53,9 @@ inline constexpr std::size_t kGapSeqCutoff = 16384;      // dp cells
 /// yet on a 4-vCPU host (n = 2^20, 10,486 rounds, each paying a
 /// fork/join) glws_parallel took 1.5-4.1 s against 0.22-0.25 s
 /// sequential, so its floor is 8, like lis and lcs (tournament tree vs
-/// the patience loop: lis at n = 2^21 took 0.41 s on 4 workers against
-/// 0.19 s sequential) and gap (~6x, staircase probing + row/column
-/// envelope merges).  No 8-core measurement backs the 8;
+/// the branch-free patience loop: lis at n = 2^21 took 0.30-0.38 s on 4
+/// workers against 0.054-0.065 s sequential) and gap (~6x, staircase
+/// probing + row/column envelope merges).  No 8-core measurement backs the 8;
 /// it only says that 4 loses.  Below the family's floor the `*_auto`
 /// entry points route sequentially — that IS the right production
 /// answer on that machine, not a concession.

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "src/lis/lis.hpp"
+#include "src/parallel/primitives.hpp"
 
 namespace cordon::lcs {
 
@@ -18,25 +19,6 @@ constexpr std::uint64_t kEmptySlot = ~std::uint64_t{0};
 // symbols that share their low bits still spread over the table.
 std::size_t home(std::uint32_t symbol, unsigned shift) {
   return static_cast<std::size_t>((symbol * 0x9e3779b97f4a7c15ull) >> shift);
-}
-
-// The number of match pairs, so emitters size their output exactly once.
-std::size_t count_pairs(const std::vector<std::uint32_t>& a,
-                        const BIndex& index) {
-  std::size_t total = 0;
-  for (std::uint32_t x : a) total += index.positions(x).size();
-  return total;
-}
-
-// Emits every pair in (i asc, j desc) order through emit(i, j).
-template <typename Emit>
-void for_each_pair(const std::vector<std::uint32_t>& a, const BIndex& index,
-                   const Emit& emit) {
-  for (std::uint32_t i = 0; i < a.size(); ++i) {
-    const std::span<const std::uint32_t> js = index.positions(a[i]);
-    // j descending within equal i: later j first.
-    for (std::size_t k = js.size(); k > 0; --k) emit(i, js[k - 1]);
-  }
 }
 
 }  // namespace
@@ -74,29 +56,97 @@ std::span<const std::uint32_t> BIndex::positions(
   }
 }
 
+namespace {
+
+// The one match-pair walk, in parallel::pack's shape: count the pairs of
+// each block of kEmitBlock symbols of `a`, prefix-sum the counts, then
+// let every block write its pairs from its offset in (i asc, j desc)
+// order.  A pair's position depends on the input alone, so every pool
+// size writes the same output, and a single block or worker runs
+// inline.  `size(L)` sizes the outputs once; `put(p, i, j)` writes pair p.
+template <typename Size, typename Put>
+void emit_pairs(const std::vector<std::uint32_t>& a,
+                const std::vector<std::uint32_t>& b, const Size& size,
+                const Put& put) {
+  const BIndex index(b);
+  const std::size_t blocks = (a.size() + kEmitBlock - 1) / kEmitBlock;
+  const auto each_block = [&](const auto& body) {
+    parallel::parallel_for(
+        0, blocks,
+        [&](std::size_t blk) {
+          const std::size_t lo = blk * kEmitBlock;
+          body(blk, lo, std::min(a.size(), lo + kEmitBlock));
+        },
+        1);
+  };
+  std::vector<std::size_t> offset(blocks);
+  each_block([&](std::size_t blk, std::size_t lo, std::size_t hi) {
+    std::size_t count = 0;
+    for (std::size_t i = lo; i < hi; ++i)
+      count += index.positions(a[i]).size();
+    offset[blk] = count;
+  });
+  size(parallel::scan_add(offset));
+  each_block([&](std::size_t blk, std::size_t lo, std::size_t hi) {
+    std::size_t p = offset[blk];
+    for (std::size_t i = lo; i < hi; ++i) {
+      const std::span<const std::uint32_t> js = index.positions(a[i]);
+      // j descending within equal i: later j first.
+      for (std::size_t k = js.size(); k > 0; --k)
+        put(p++, static_cast<std::uint32_t>(i), js[k - 1]);
+    }
+  });
+}
+
+}  // namespace
+
 std::vector<MatchPair> match_pairs(const std::vector<std::uint32_t>& a,
                                    const std::vector<std::uint32_t>& b) {
-  const BIndex index(b);
   std::vector<MatchPair> pairs;
-  pairs.reserve(count_pairs(a, index));
-  for_each_pair(a, index, [&](std::uint32_t i, std::uint32_t j) {
-    pairs.push_back({i, j});
-  });
-  return pairs;  // already (i asc, j desc) by construction
+  MatchPair* out = nullptr;
+  emit_pairs(
+      a, b,
+      [&](std::size_t total) {
+        pairs.resize(total);
+        out = pairs.data();
+      },
+      [&](std::size_t p, std::uint32_t i, std::uint32_t j) {
+        out[p] = {i, j};
+      });
+  return pairs;
 }
 
 MatchPairsSoA match_pairs_soa(const std::vector<std::uint32_t>& a,
                               const std::vector<std::uint32_t>& b) {
-  const BIndex index(b);
-  const std::size_t total = count_pairs(a, index);
   MatchPairsSoA pairs;
-  pairs.i.reserve(total);
-  pairs.j.reserve(total);
-  for_each_pair(a, index, [&](std::uint32_t i, std::uint32_t j) {
-    pairs.i.push_back(i);
-    pairs.j.push_back(j);
-  });
+  std::uint32_t *is = nullptr, *js = nullptr;
+  emit_pairs(
+      a, b,
+      [&](std::size_t total) {
+        pairs.i.resize(total);
+        pairs.j.resize(total);
+        is = pairs.i.data();
+        js = pairs.j.data();
+      },
+      [&](std::size_t p, std::uint32_t i, std::uint32_t j) {
+        is[p] = i;
+        js[p] = j;
+      });
   return pairs;
+}
+
+std::vector<std::uint32_t> match_pairs_j(const std::vector<std::uint32_t>& a,
+                                         const std::vector<std::uint32_t>& b) {
+  std::vector<std::uint32_t> js;
+  std::uint32_t* out = nullptr;
+  emit_pairs(
+      a, b,
+      [&](std::size_t total) {
+        js.resize(total);
+        out = js.data();
+      },
+      [&](std::size_t p, std::uint32_t, std::uint32_t j) { out[p] = j; });
+  return js;
 }
 
 LcsResult lcs_naive(const std::vector<std::uint32_t>& a,
@@ -154,13 +204,8 @@ LcsResult lcs_parallel(const MatchPairsSoA& pairs) {
   return from_keys(lis::keys_parallel<std::uint32_t>(pairs.j, "lcs.round"));
 }
 
-LcsResult lcs_auto(const std::vector<MatchPair>& pairs) {
-  return from_keys(
-      lis::keys_auto<std::uint32_t>(j_stream(pairs), "lcs.round"));
-}
-
-LcsResult lcs_auto(const MatchPairsSoA& pairs) {
-  return from_keys(lis::keys_auto<std::uint32_t>(pairs.j, "lcs.round"));
+LcsResult lcs_auto(std::span<const std::uint32_t> js) {
+  return from_keys(lis::keys_auto<std::uint32_t>(js, "lcs.round"));
 }
 
 namespace {

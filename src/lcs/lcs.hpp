@@ -18,12 +18,15 @@
 //
 // The pre-processing that finds match pairs is provided, as in the paper,
 // which leaves it out of its timings.  Solver::solve pays it on every
-// call: a flat symbol index over b (BIndex) and one pass over a.  At
-// |a| = |b| = 10^6 over 5*10^5 symbols (L = 2*10^6 pairs; Release, 4-vCPU
-// x86-64 host) match_pairs_soa takes 0.07 s, 0.02-0.03 s of it for the
-// index, next to 0.10 s for lcs_sparse_seq on those pairs.
+// call: a flat symbol index over b (BIndex), then a parallel pass over
+// blocks of a that writes the j stream alone.  At |a| = |b| = 10^6 over
+// 5*10^5 symbols (L = 2*10^6 pairs; Release, 4 workers on a 4-vCPU
+// x86-64 host) match_pairs_j takes 0.035-0.038 s, 0.019-0.023 s of it
+// for the sequential index build, next to 0.057-0.062 s for
+// lcs_sparse_seq on those pairs.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -40,11 +43,11 @@ struct MatchPair {
 
 /// Match pairs stored struct-of-arrays: the two coordinate streams live
 /// in separate contiguous arrays, in the same (i asc, j desc) order as
-/// the AoS form.  This is the hot-path representation: the cordon rounds
-/// read ONLY the j stream (tournament keys) and the threshold scan of
-/// the sequential algorithm walks it linearly, so keeping j densely
-/// packed halves the bandwidth per probe versus interleaved {i, j}
-/// records.  The i stream is touched only by witness recovery.
+/// the AoS form.  The cordon rounds and the patience loop read ONLY the
+/// j stream, so keeping j densely packed halves the bandwidth per probe
+/// versus interleaved {i, j} records.  The i stream is touched only by
+/// witness recovery; a solve that recovers none builds j alone
+/// (match_pairs_j).
 struct MatchPairsSoA {
   std::vector<std::uint32_t> i, j;
 
@@ -52,14 +55,25 @@ struct MatchPairsSoA {
   [[nodiscard]] bool empty() const noexcept { return j.empty(); }
 };
 
+/// Symbols of `a` per emission task.  The three emitters below count
+/// each block's match pairs, prefix-sum the counts and write the blocks
+/// in parallel, each at its offset, so their output is the same at every
+/// pool size.
+inline constexpr std::size_t kEmitBlock = 4096;
+
 /// All (i, j) with a[i] == b[j], sorted by (i asc, j desc) — the order
 /// the cordon algorithm consumes.  |result| = L.
 [[nodiscard]] std::vector<MatchPair> match_pairs(
     const std::vector<std::uint32_t>& a, const std::vector<std::uint32_t>& b);
 
 /// SoA variant of match_pairs — same pairs, same order, coordinate
-/// streams split.  The engine adapter and benches use this form.
+/// streams split.
 [[nodiscard]] MatchPairsSoA match_pairs_soa(
+    const std::vector<std::uint32_t>& a, const std::vector<std::uint32_t>& b);
+
+/// The j stream of match_pairs alone: all a solve reads (Solver::solve
+/// feeds it to lcs_auto).
+[[nodiscard]] std::vector<std::uint32_t> match_pairs_j(
     const std::vector<std::uint32_t>& a, const std::vector<std::uint32_t>& b);
 
 struct LcsResult {
@@ -84,13 +98,13 @@ struct LcsResult {
 [[nodiscard]] LcsResult lcs_parallel(const std::vector<MatchPair>& pairs);
 [[nodiscard]] LcsResult lcs_parallel(const MatchPairsSoA& pairs);
 
-/// Production entry point: lcs_sparse_seq when effective parallelism is
-/// below core::kLisMinWorkers or L (the pair count) is under
+/// Production entry point over the j stream of the match pairs:
+/// lcs_sparse_seq when effective parallelism is below
+/// core::kLisMinWorkers or L (the pair count) is under
 /// core::kLisSeqCutoff (the pair lis_auto routes on), lcs_parallel
 /// otherwise.  The routing decision is recorded in LcsResult::path.
 /// Both produce the same pair_dp semantics (LCS value ending at pair p).
-[[nodiscard]] LcsResult lcs_auto(const std::vector<MatchPair>& pairs);
-[[nodiscard]] LcsResult lcs_auto(const MatchPairsSoA& pairs);
+[[nodiscard]] LcsResult lcs_auto(std::span<const std::uint32_t> js);
 
 /// One optimal chain of match pairs (an LCS witness), recovered from the
 /// per-pair DP values of either sparse algorithm.  Returned in chain

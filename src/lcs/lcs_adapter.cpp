@@ -27,10 +27,10 @@ class LcsSolver final : public Solver {
 
   [[nodiscard]] SolveResult solve(const Instance& inst) const override {
     const auto& p = inst.as<LcsInstance>();
-    // SoA pairs: the solve path only streams the j coordinates.
-    auto pairs = lcs::match_pairs_soa(p.a, p.b);
-    auto r = lcs::lcs_auto(pairs);
-    SolveResult out = pack(p, pairs.size(), r);
+    // Only witness recovery reads the i stream, so build j alone.
+    const std::vector<std::uint32_t> js = lcs::match_pairs_j(p.a, p.b);
+    auto r = lcs::lcs_auto(js);
+    SolveResult out = pack(p, js.size(), r);
     // Thm 3.2: the effective depth is the LCS length on every path (the
     // parallel path's rounds equal it).
     out.effective_depth = r.length;

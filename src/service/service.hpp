@@ -84,7 +84,7 @@ struct ServiceOptions {
   /// Directory for durable per-session journals (created sessions write
   /// a journal, recover() replays them).  Empty = journaling off.  The
   /// directory must already exist.
-  std::string journal_dir;
+  std::string journal_dir{};
 };
 
 /// Per-request options for submit().

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "src/core/cutoff.hpp"
@@ -119,4 +121,90 @@ TEST(Lis, SequentialWorkIsOnePerState) {
   auto a = cordon::testing::random_values(2000, 11, 100000);
   auto sv = lis_sequential(a);
   EXPECT_EQ(sv.stats.relaxations, a.size());  // one effective edge per state
+}
+
+namespace {
+
+// The slot std::lower_bound finds: the one patience_push must land in.
+template <typename Key>
+std::uint32_t lower_bound_slot(const std::vector<Key>& tails, Key key) {
+  return static_cast<std::uint32_t>(
+      std::lower_bound(tails.begin(), tails.end(), key) - tails.begin());
+}
+
+// One patience step checked against std::lower_bound: the same slot,
+// and `tails` changed in that slot alone.
+template <typename Key>
+void expect_step_matches(const std::vector<Key>& tails, Key key) {
+  const std::uint32_t want = lower_bound_slot(tails, key);
+  std::vector<Key> got = tails;
+  ASSERT_EQ(cordon::lis::patience_push(got, key), want)
+      << "len=" << tails.size() << " key=" << key;
+  std::vector<Key> expect = tails;
+  if (want == expect.size())
+    expect.push_back(key);
+  else
+    expect[want] = key;
+  ASSERT_EQ(got, expect) << "len=" << tails.size() << " key=" << key;
+}
+
+template <typename Key>
+void check_every_probe() {
+  constexpr Key kMax = std::numeric_limits<Key>::max();
+  for (std::size_t len = 0; len <= 130; ++len) {
+    // Tails 3k+1 leave room below, between and above each one; the
+    // second layout pins the ends at 0 and the type's maximum.
+    std::vector<Key> spaced(len), pinned(len);
+    for (std::size_t k = 0; k < len; ++k)
+      spaced[k] = pinned[k] = static_cast<Key>(3 * k + 1);
+    if (len > 0) pinned.front() = 0;
+    if (len > 1) pinned.back() = kMax;
+    for (const std::vector<Key>* tails : {&spaced, &pinned}) {
+      std::vector<Key> probes{0, kMax};
+      for (Key t : *tails) {
+        if (t > 0) probes.push_back(t - 1);
+        probes.push_back(t);
+        if (t < kMax) probes.push_back(t + 1);
+      }
+      for (Key key : probes) expect_step_matches(*tails, key);
+    }
+  }
+}
+
+template <typename Key>
+void check_random_streams() {
+  const std::size_t n = 100000;
+  for (std::uint64_t bound : {std::uint64_t{2}, std::uint64_t{3},
+                              std::uint64_t{n / 2}}) {
+    const auto values = cordon::testing::random_values(n, 41 + bound, bound);
+    std::vector<Key> got, want;
+    for (std::size_t p = 0; p < n; ++p) {
+      const auto key = static_cast<Key>(values[p]);
+      const std::uint32_t slot = lower_bound_slot(want, key);
+      if (slot == want.size())
+        want.push_back(key);
+      else
+        want[slot] = key;
+      ASSERT_EQ(cordon::lis::patience_push(got, key), slot)
+          << "bound=" << bound << " p=" << p;
+    }
+    EXPECT_EQ(got, want) << "bound=" << bound;
+  }
+}
+
+}  // namespace
+
+TEST(Lis, PatienceStepMatchesLowerBoundOnEveryProbe) {
+  // Every tails length up to 130, so the search's halvings meet every
+  // remainder, and every kind of key: below, equal to, between and
+  // above each tail, plus 0 and the maximum.
+  check_every_probe<std::uint64_t>();
+  check_every_probe<std::uint32_t>();
+}
+
+TEST(Lis, PatienceStepMatchesLowerBoundOnRandomStreams) {
+  // Slot by slot over 10^5 keys, from the all-duplicates regime (two or
+  // three values) to mostly distinct keys.
+  check_random_streams<std::uint64_t>();
+  check_random_streams<std::uint32_t>();
 }

@@ -12,7 +12,8 @@
 // workers and routes sequentially below the 8-worker floors; and round
 // fusion, which forks some rounds and runs others inline, changes no
 // answer and no count.  treeglws's forked DFS must equal its one-thread
-// DFS bit for bit on every tree shape and pool size.
+// DFS bit for bit on every tree shape and pool size, and lcs's parallel
+// match-pair emission must write the same pairs in the same order.
 //
 // Ships its own main() (OWN_MAIN): it restarts the scheduler pool
 // between cases (detail::shutdown_pool + set_num_workers), which is
@@ -473,6 +474,90 @@ TEST(ThreadSweep, RoundFusionDoesNotChangeAnswers) {
     EXPECT_TRUE(fuses[family]) << family << ": no case fused a round";
     EXPECT_TRUE(forks_late[family])
         << family << ": no case forked a round after the first";
+  }
+}
+
+namespace {
+
+// Every (i, j) with a[i] == b[j], i ascending, j descending within an
+// i: the emission order, spelled out as two nested loops.
+lcs::MatchPairsSoA naive_pairs(const std::vector<std::uint32_t>& a,
+                               const std::vector<std::uint32_t>& b) {
+  lcs::MatchPairsSoA out;
+  for (std::uint32_t i = 0; i < a.size(); ++i)
+    for (auto j = static_cast<std::uint32_t>(b.size()); j > 0; --j)
+      if (a[i] == b[j - 1]) {
+        out.i.push_back(i);
+        out.j.push_back(j - 1);
+      }
+  return out;
+}
+
+}  // namespace
+
+TEST(ThreadSweep, MatchPairEmissionIsIdenticalAtEveryPoolSize) {
+  // The emitter writes each block of kEmitBlock symbols of `a` at its
+  // offset, so at every pool size its three forms must equal the nested
+  // loops' pairs, in their order, and the lcs solve built on them must
+  // repeat its answer, counts and detail.
+  const std::size_t n = 3 * lcs::kEmitBlock + 777;  // and a ragged block
+  std::vector<std::uint32_t> random_a(n), random_b(1000), heavy_a(n),
+      heavy_b(1000, 7);
+  // Symbols 600-699 of random_a never occur in random_b.
+  for (std::size_t i = 0; i < n; ++i)
+    random_a[i] = static_cast<std::uint32_t>(cp::uniform(11, i, 700));
+  for (std::size_t j = 0; j < random_b.size(); ++j)
+    random_b[j] = static_cast<std::uint32_t>(cp::uniform(12, j, 600));
+  // One symbol fills b.  Block 1 of heavy_a holds it 256 times and the
+  // ragged last block once, so block 1 carries nearly every pair.
+  for (std::size_t i = 0; i < n; ++i)
+    heavy_a[i] = static_cast<std::uint32_t>(8 + i % 50);
+  for (std::size_t i = lcs::kEmitBlock; i < 2 * lcs::kEmitBlock; i += 16)
+    heavy_a[i] = 7;
+  heavy_a[n - 1] = 7;
+  struct Input {
+    std::string name;
+    engine::LcsInstance p;
+    lcs::MatchPairsSoA want;
+    engine::SolveResult first;
+  };
+  std::vector<Input> inputs{{"random", {random_a, random_b}, {}, {}},
+                            {"one symbol fills b", {heavy_a, heavy_b}, {}, {}},
+                            {"empty a", {{}, random_b}, {}, {}},
+                            {"empty b", {random_a, {}}, {}, {}}};
+  for (Input& in : inputs) in.want = naive_pairs(in.p.a, in.p.b);
+  ASSERT_EQ(inputs[1].want.size(), 257000u);
+  const engine::Solver& solver = engine::builtin_registry().at("lcs");
+  for (std::size_t workers : {1u, 2u, 4u, 8u}) {
+    restart_pool(workers);
+    for (Input& in : inputs) {
+      const std::string what =
+          in.name + " workers=" + std::to_string(workers);
+      const auto aos = lcs::match_pairs(in.p.a, in.p.b);
+      ASSERT_EQ(aos.size(), in.want.size()) << what;
+      for (std::size_t q = 0; q < aos.size(); ++q)
+        ASSERT_TRUE(aos[q].i == in.want.i[q] && aos[q].j == in.want.j[q])
+            << what << " pair " << q;
+      const lcs::MatchPairsSoA soa = lcs::match_pairs_soa(in.p.a, in.p.b);
+      EXPECT_EQ(soa.i, in.want.i) << what;
+      EXPECT_EQ(soa.j, in.want.j) << what;
+      EXPECT_EQ(lcs::match_pairs_j(in.p.a, in.p.b), in.want.j) << what;
+
+      const engine::Instance inst{"lcs", in.p};
+      engine::SolveResult got = solver.solve(inst);
+      EXPECT_EQ(got.path, production_path(inst, workers)) << what;
+      EXPECT_EQ(got.stats.states, in.want.size()) << what;
+      if (workers == 1) {
+        expect_same_objective(got.objective,
+                              solver.solve_reference(inst).objective, what);
+        in.first = std::move(got);
+        continue;
+      }
+      EXPECT_EQ(got.objective, in.first.objective) << what;
+      EXPECT_EQ(got.stats.states, in.first.stats.states) << what;
+      EXPECT_EQ(got.stats.relaxations, in.first.stats.relaxations) << what;
+      EXPECT_EQ(got.detail, in.first.detail) << what;
+    }
   }
 }
 

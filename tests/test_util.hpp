@@ -89,8 +89,11 @@ inline constexpr glws::SpanCost::Kind kSpanKinds[] = {
 
 /// The formula `c` computes, written out as a plain lambda.  with_cost
 /// cannot see a SpanCost in it, so a solver given this CostFn runs its
-/// type-erased instantiation.
-inline glws::CostFn plain_span_cost(const glws::SpanCost& c) {
+/// type-erased instantiation.  Kept out of line: gcc 12 at -O2 inlines
+/// its switch of lambdas into std::function::target and reports a false
+/// -Wmaybe-uninitialized there.
+[[gnu::noinline]] inline glws::CostFn plain_span_cost(
+    const glws::SpanCost& c) {
   const double o = c.open, s = c.scale;
   switch (c.kind) {
     case glws::SpanCost::Kind::kLinear:
